@@ -9,8 +9,10 @@ Subcommands:
 * ``limit``  - print the large-M saturation value with a convergence column.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O
-error, 4 size guard.  All randomness is controlled by ``--seed``; output is
-byte-stable for identical flags and seed, for any worker count.
+error, 4 size guard, 5 numerical failure (a non-Hermitian matrix or an
+eigensolver failure inside the computation).  All randomness is controlled
+by ``--seed``; output is byte-stable for identical flags and seed, for any
+worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +31,13 @@ import numpy as np
 from . import __version__
 from .capacity import CapacityReport, analytic_output_state, asymptotic_limit, holevo
 from .channels import check_completeness, weyl_basis
-from .errors import DimensionOutOfRangeError, DomainError, SizeGuardError
+from .errors import (
+    DimensionOutOfRangeError,
+    DomainError,
+    NoConvergenceError,
+    NotHermitianError,
+    SizeGuardError,
+)
 from .switch import (
     ControlAmplitudes,
     OrderSet,
@@ -137,9 +146,15 @@ def _capacity_row(point: tuple[int, int]) -> CapacityReport:
     return holevo(m, d)
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Workers to start: ``--jobs`` capped by the task and CPU counts, at least 1."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _compute_grid(points: list[tuple[int, int]], jobs: int) -> list[CapacityReport]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_capacity_row, points))
     return [_capacity_row(p) for p in points]
 
@@ -325,8 +340,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for n in channel_counts
         for d in dims
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = worker_count(args.jobs, len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_case_worker, cases))
     else:
         reports = [_verify_case_worker(c) for c in cases]
@@ -408,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"switchcap: i/o error: {exc}", file=sys.stderr)
         return 3
+    except (NotHermitianError, NoConvergenceError) as exc:
+        print(f"switchcap: numerical failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ class NotHermitianError(SwitchCapError):
 
 
 class NoConvergenceError(SwitchCapError):
-    """The iterative eigensolver exhausted its sweep budget."""
+    """The eigensolver failed, or its eigenvalues do not reproduce the trace."""
 
 
 class InvalidSpectrumError(SwitchCapError, ValueError):

@@ -3,8 +3,10 @@
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries in
 row-major order.  Density matrices are square, Hermitian, positive
 semidefinite and unit trace; spectra are 1-D ``float64`` arrays sorted in
-descending order.  Everything here is a pure function: inputs are never
-mutated and results are safe to share across workers.
+descending order, computed by LAPACK through ``numpy.linalg.eigvalsh``.
+Inputs with a NaN or infinite entry are rejected, never passed on.
+Everything here is a pure function: inputs are never mutated and results
+are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -24,12 +26,6 @@ DENSITY_HERMITICITY_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_PSD_TOL = 1e-10
 
-# Eigensolver parameters: off-diagonal zeroing threshold (relative to the
-# largest input magnitude, floored at 1) and the sweep budget.
-JACOBI_THRESHOLD = 1e-14
-JACOBI_MAX_SWEEPS = 100
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
@@ -44,90 +40,45 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def hermitian_spectrum(
-    h: np.ndarray,
-    *,
-    hermiticity_tol: float = 1e-10,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> np.ndarray:
+def hermitian_spectrum(h: np.ndarray, *, hermiticity_tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted in descending order.
 
-    Uses cyclic Jacobi rotations with complex phase factors.  Robustness is
-    preferred over speed: the matrices in this package have at most a few
-    hundred rows.
+    The input is symmetrized, ``(h + h^dagger) / 2``, to drop its
+    sub-tolerance asymmetry, then handed to LAPACK (``numpy.linalg.eigvalsh``).
 
     Parameters
     ----------
     h : ndarray
-        Square matrix, Hermitian within ``hermiticity_tol``.
+        Square matrix with finite entries, Hermitian within ``hermiticity_tol``.
     hermiticity_tol : float
         Largest allowed ``|h - h^dagger|`` entry before rejecting the input.
-    max_sweeps : int
-        Sweep budget for the rotation cycle.
 
     Raises
     ------
     NotHermitianError
-        If ``h`` is not square or not Hermitian within tolerance.
+        If ``h`` is not square, has a NaN or infinite entry, or is not
+        Hermitian within tolerance.
     NoConvergenceError
-        If the sweep budget is exhausted before the off-diagonal part falls
-        below the threshold, or the eigenvalue sum fails to reproduce the
-        trace.
+        If LAPACK reports a failure, or the eigenvalue sum fails to
+        reproduce the trace.
     """
     a = np.array(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NotHermitianError("matrix has NaN or infinite entries")
     asym = float(np.abs(a - dagger(a)).max()) if a.size else 0.0
     if asym > hermiticity_tol:
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by {asym:.3e} "
             f"(tolerance {hermiticity_tol:.1e})"
         )
-    n = a.shape[0]
     trace = float(np.trace(a).real)
-    if n == 1:
-        return np.array([a[0, 0].real])
-
-    # Symmetrize away the sub-tolerance asymmetry before rotating.
     a = (a + dagger(a)) / 2.0
-    threshold = JACOBI_THRESHOLD * max(1.0, float(np.abs(a).max()))
-
-    converged = False
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                beta = abs(b)
-                if beta <= threshold:
-                    continue
-                rotated = True
-                phase = b / beta
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * beta)
-                if tau == 0.0:
-                    t = -1.0
-                else:
-                    t = -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                cs = 1.0 / np.hypot(1.0, t)
-                sn = t * cs
-                # a <- J^dagger a J applied as columns first, then rows.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = cs * col_p + sn * np.conj(phase) * col_q
-                a[:, q] = -sn * phase * col_p + cs * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = cs * row_p + sn * phase * row_q
-                a[q, :] = -sn * np.conj(phase) * row_p + cs * row_q
-        if not rotated:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergenceError(
-            f"off-diagonal norm above {threshold:.1e} after {max_sweeps} sweeps"
-        )
-
-    values = np.sort(np.diag(a).real)[::-1].copy()
+    try:
+        values = np.linalg.eigvalsh(a)[::-1].copy()
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
     drift = abs(float(values.sum()) - trace)
     if drift > max(1e-10, 1e-12 * max(1.0, abs(trace))):
         raise NoConvergenceError(
@@ -139,13 +90,15 @@ def hermitian_spectrum(
 def von_neumann_entropy(spectrum: np.ndarray) -> float:
     """Entropy in bits, ``-sum(p * log2(p))`` with ``0 * log 0 == 0``.
 
-    The input must be a density-matrix spectrum: every value in
-    ``[-1e-10, 1 + 1e-10]`` and total weight 1 within ``1e-8``.  Small
+    The input must be a density-matrix spectrum: every value finite and in
+    ``[-1e-10, 1 + 1e-10]``, and total weight 1 within ``1e-8``.  Small
     negative values from numerical jitter are clamped to zero.
     """
     values = np.asarray(spectrum, dtype=float).ravel()
     if values.size == 0:
         raise InvalidSpectrumError("empty spectrum")
+    if not np.isfinite(values).all():
+        raise InvalidSpectrumError("spectrum has NaN or infinite values")
     if float(values.min()) < -DENSITY_PSD_TOL or float(values.max()) > 1.0 + DENSITY_PSD_TOL:
         raise InvalidSpectrumError(
             f"spectrum values outside [0, 1]: min={values.min():.3e}, max={values.max():.3e}"
@@ -185,11 +138,13 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise unless ``rho`` is Hermitian, unit trace and PSD within tolerance.
 
     Tolerances: hermiticity 1e-12 entrywise, trace 1e-12, smallest eigenvalue
-    at least -1e-10.
+    at least -1e-10.  A NaN or infinite entry is rejected.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("state has NaN or infinite entries")
     asym = float(np.abs(rho - dagger(rho)).max())
     if asym > DENSITY_HERMITICITY_TOL:
         raise InvalidStateError(f"not Hermitian: asymmetry {asym:.3e}")

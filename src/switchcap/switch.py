@@ -10,8 +10,11 @@ U_{t_k} to channel k, the switch Kraus operator is
     K_t = (1/d^N) * sum_l |l><l| (x) U_{t_{s_l(0)}} U_{t_{s_l(1)}} ... U_{t_{s_l(N-1)}}
 
 summed over the M orders l.  The joint output on (control (x) target) is the
-Kraus sum over all d^(2N) index tuples.  Everything is summed in a fixed
-deterministic sequence, so results are bit-stable.
+Kraus sum over all d^(2N) index tuples.  It is linear in the target state
+rho, so the simulator contracts the tuple sum once into a superoperator S
+with S @ vec(rho) = vec of the output before amplitude scaling, and takes
+every output, cross term and sampled rate from S.  Everything is summed in a
+fixed deterministic sequence, so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -189,23 +192,36 @@ def _order_products(
     return np.stack(stacked, axis=1)
 
 
-def _raw_block(products: np.ndarray, i: int, j: int, rho: np.ndarray, scale: float) -> np.ndarray:
-    """(1/d^2N) sum_t P_i(t) rho P_j(t)^dagger for precomputed products."""
-    return np.einsum("tab,bc,tdc->ad", products[:, i], rho, products[:, j].conj()) / scale
-
-
-def _output_matrix(
-    products: np.ndarray, amplitudes: np.ndarray, rho: np.ndarray, dim: int, scale: float
+def _switch_map(
+    order_list: Sequence[Permutation], basis: UnitaryBasis, n_channels: int
 ) -> np.ndarray:
-    m = products.shape[1]
-    out = np.zeros((m * dim, m * dim), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            blk = amplitudes[i] * amplitudes[j] * _raw_block(products, i, j, rho, scale)
-            out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = blk
-            if j != i:
-                out[j * dim : (j + 1) * dim, i * dim : (i + 1) * dim] = blk.conj().T
-    return out
+    """Superoperator of the switch before amplitude scaling, shape ((M*d)^2, d^2).
+
+    Row (i, a, j, c) and column (b, e), both row-major, hold
+    (1/d^2N) sum_t P_i(t)[a, b] conj(P_j(t)[c, e]), so ``S @ rho.ravel()``
+    is the raveled (M*d, M*d) output whose (i, j) block is
+    (1/d^2N) sum_t P_i(t) rho P_j(t)^dagger.
+    """
+    d = basis.dim
+    m = len(order_list)
+    tuples = _tuple_indices(n_channels, d * d)
+    flat = _order_products(order_list, basis, tuples).reshape(len(tuples), m * d * d)
+    gram = flat.T @ flat.conj()
+    gram /= float(d ** (2 * n_channels))
+    return gram.reshape(m, d, d, m, d, d).transpose(0, 1, 3, 4, 2, 5).reshape(
+        (m * d) ** 2, d * d
+    )
+
+
+def _output_states(
+    switch_map: np.ndarray, amplitudes: np.ndarray, rhos: np.ndarray
+) -> np.ndarray:
+    """Joint outputs for a stack of target states, shape (K, M*d, M*d)."""
+    m = len(amplitudes)
+    k, d, _ = rhos.shape
+    raw = (rhos.reshape(k, d * d) @ switch_map.T).reshape(k, m, d, m, d)
+    raw *= np.outer(amplitudes, amplitudes)[:, None, :, None]
+    return raw.reshape(k, m * d, m * d)
 
 
 def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> list[np.ndarray]:
@@ -253,10 +269,8 @@ def apply_switch(
             f"{len(amplitudes)} amplitudes for {orders.m_orders} orders"
         )
     check_size_guard(orders, d)
-    tuples = _tuple_indices(orders.n_channels, d * d)
-    products = _order_products(orders.orders, basis, tuples)
-    scale = float(d ** (2 * orders.n_channels))
-    state = _output_matrix(products, amplitudes.as_array(), rho, d, scale)
+    switch_map = _switch_map(orders.orders, basis, orders.n_channels)
+    (state,) = _output_states(switch_map, amplitudes.as_array(), rho[None])
     return SwitchOutput(m_orders=orders.m_orders, dim=d, state=state)
 
 
@@ -279,9 +293,9 @@ def cross_term(
             f"target state has shape {rho.shape}, basis dimension is {d}"
         )
     check_size_guard(orders, d)
-    tuples = _tuple_indices(orders.n_channels, d * d)
-    products = _order_products([orders.orders[i], orders.orders[j]], basis, tuples)
-    return _raw_block(products, 0, 1, rho, float(d ** (2 * orders.n_channels)))
+    pair_map = _switch_map([orders.orders[i], orders.orders[j]], basis, orders.n_channels)
+    rows = pair_map.reshape(2, d, 2, d, d * d)[0, :, 1]
+    return rows @ rho.ravel()
 
 
 def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -317,20 +331,19 @@ def holevo_oracle(
         raise DomainError(f"need at least one sample, got {n_samples}")
     d = basis.dim
     check_size_guard(orders, d)
-    tuples = _tuple_indices(orders.n_channels, d * d)
-    products = _order_products(orders.orders, basis, tuples)
-    scale = float(d ** (2 * orders.n_channels))
+    switch_map = _switch_map(orders.orders, basis, orders.n_channels)
     amplitudes = ControlAmplitudes.uniform(orders.m_orders).as_array()
-
-    def output_entropy(rho: np.ndarray) -> float:
-        state = _output_matrix(products, amplitudes, rho, d, scale)
-        return von_neumann_entropy(hermitian_spectrum(state))
-
-    mixed_entropy = output_entropy(np.eye(d, dtype=complex) / d)
 
     rng = np.random.default_rng(seed)
     vectors = [np.eye(d, dtype=complex)[k] for k in range(d)]
     for _ in range(max(0, n_samples - d)):
         vectors.append(haar_random_state(d, rng))
-    min_entropy = min(output_entropy(np.outer(v, v.conj())) for v in vectors)
-    return mixed_entropy - min_entropy
+    pure = np.stack(vectors)
+    rhos = np.concatenate(
+        [np.eye(d, dtype=complex)[None] / d, pure[:, :, None] * pure.conj()[:, None, :]]
+    )
+    entropies = [
+        von_neumann_entropy(hermitian_spectrum(state))
+        for state in _output_states(switch_map, amplitudes, rhos)
+    ]
+    return entropies[0] - min(entropies[1:])

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from switchcap.capacity import holevo
-from switchcap.cli import CSV_HEADER, main, parse_int_list, parse_permutations
-from switchcap.errors import DomainError
+from switchcap import cli
+from switchcap.cli import CSV_HEADER, main, parse_int_list, parse_permutations, worker_count
+from switchcap.errors import DomainError, NoConvergenceError, NotHermitianError
 
 PRINTED_RATES = [
     "0.0488",
@@ -191,6 +192,46 @@ class TestVerify:
 
     def test_size_guard_exit_code(self, capsys):
         assert main(["verify", "--channels", "4", "--dim", "3", "--mode", "all"]) == 4
+
+    @pytest.mark.parametrize("error", [NoConvergenceError, NotHermitianError])
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr("switchcap.linalg.hermitian_spectrum", fail)
+        monkeypatch.setattr("switchcap.switch.hermitian_spectrum", fail)
+        assert main(["verify", "--channels", "2", "--dim", "2"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "switchcap: numerical failure: injected\n"
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "jobs,tasks,cpus,expected",
+        [
+            (1, 10, 4, 1),
+            (3, 10, 4, 3),
+            (1000, 10, 4, 4),
+            (1000, 2, 4, 2),
+            (8, 0, 4, 1),
+            (0, 10, 4, 1),
+            (-3, 10, 4, 1),
+            (8, 10, None, 1),
+        ],
+    )
+    def test_clamped_to_tasks_and_cpus(self, monkeypatch, jobs, tasks, cpus, expected):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert worker_count(jobs, tasks) == expected
+
+    def test_single_worker_runs_inline(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one worker")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        assert main(["table", "--dims", "2", "--orders", "2..4", "--jobs", "64"]) == 0
+        assert main(["verify", "--channels", "2", "--dim", "2", "--jobs", "64"]) == 0
 
 
 class TestLimit:

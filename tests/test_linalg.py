@@ -112,9 +112,18 @@ class TestHermitianSpectrum:
         with pytest.raises(NotHermitianError):
             hermitian_spectrum(m)
 
-    def test_exhausted_sweep_budget(self):
-        with pytest.raises(NoConvergenceError):
-            hermitian_spectrum(PAULI_X, max_sweeps=0)
+    def test_lapack_failure_raises_no_convergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            hermitian_spectrum(PAULI_X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotHermitianError):
+            hermitian_spectrum(np.array([[bad, 1.0], [1.0, 0.0]]))
 
 
 class TestVonNeumannEntropy:
@@ -153,6 +162,11 @@ class TestVonNeumannEntropy:
     def test_rejects_large_negative(self):
         with pytest.raises(InvalidSpectrumError):
             von_neumann_entropy(np.array([1.001, -0.001]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidSpectrumError):
+            von_neumann_entropy(np.array([1.0, 0.0, bad]))
 
 
 class TestPartialTrace:
@@ -219,3 +233,8 @@ class TestValidateDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InvalidStateError):
             validate_density_matrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidStateError):
+            validate_density_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))

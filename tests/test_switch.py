@@ -222,6 +222,38 @@ class TestApplySwitch:
             apply_switch(cyclic_orders(2), basis, ControlAmplitudes.uniform(3), np.eye(2) / 2)
 
 
+def kraus_sum_output(orders, basis, amplitudes, rho):
+    """sum_t K_t (c c^T (x) rho) K_t^dagger over the literal switch Kraus operators."""
+    c = np.asarray(amplitudes, dtype=float)
+    joint = np.kron(np.outer(c, c), rho)
+    kraus = np.stack(build_switch_kraus(orders, basis))
+    return (kraus @ joint @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+class TestSwitchMapAgainstKrausSum:
+    @pytest.mark.parametrize(
+        "orders,d,amplitudes",
+        [
+            (cyclic_orders(3), 2, (0.6, 0.48, np.sqrt(1 - 0.36 - 0.2304))),
+            (OrderSet(orders=((0, 1, 2), (1, 0, 2))), 2, (0.8, 0.6)),
+            (OrderSet(orders=((0, 1, 2), (2, 1, 0), (1, 0, 2))), 3, (0.3, 0.4, np.sqrt(0.75))),
+            (OrderSet(orders=((0, 1, 2, 3), (1, 3, 0, 2))), 2, (0.6, 0.8)),
+            (all_orders(3), 2, None),
+            (all_orders(3), 3, None),
+            (all_orders(4), 2, None),
+        ],
+        ids=["cyclic3-skewed", "swap-pair", "qutrit-mixed3", "n4-pair", "all3-d2", "all3-d3", "all4-d2"],
+    )
+    def test_full_state_matches_literal_kraus_sum(self, orders, d, amplitudes):
+        basis = weyl_basis(d)
+        if amplitudes is None:
+            amplitudes = ControlAmplitudes.uniform(orders.m_orders).values
+        rho = random_density_matrix(d, np.random.default_rng(orders.m_orders + d))
+        out = apply_switch(orders, basis, amplitudes, rho)
+        expected = kraus_sum_output(orders, basis, amplitudes, rho)
+        assert np.abs(out.state - expected).max() < 1e-14
+
+
 class TestCrossTerm:
     @pytest.mark.parametrize("d", [2, 3])
     def test_two_channels_gives_scaled_state(self, d):
@@ -261,6 +293,10 @@ class TestHolevoOracle:
     def test_three_channels_qubit(self):
         got = holevo_oracle(cyclic_orders(3), weyl_basis(2), n_samples=64, seed=42)
         assert got == pytest.approx(0.0817, abs=1e-4)
+
+    def test_all_orders_four_channels_qubit_pinned(self):
+        got = holevo_oracle(all_orders(4), weyl_basis(2), n_samples=64, seed=42)
+        assert got == pytest.approx(0.15327451815292115, abs=1e-9)
 
     def test_single_order_transmits_nothing(self):
         orders = OrderSet(orders=((0, 1),))
