@@ -94,4 +94,5 @@ __all__ = [
     "tensor",
     "validate_density_matrix",
     "von_neumann_entropy",
+    "weyl_basis",
 ]

@@ -156,14 +156,8 @@ def analytic_output_state(
         raise DomainError(f"{len(amplitudes)} amplitudes for {m_orders} orders")
     c = amplitudes.as_array()
     d = rho.shape[0]
-    diag_block = np.eye(d, dtype=complex) / d
-    off_block = rho / (d * d)
-    out = np.zeros((m_orders * d, m_orders * d), dtype=complex)
-    for i in range(m_orders):
-        for j in range(m_orders):
-            block = diag_block if i == j else off_block
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = c[i] * c[j] * block
-    return out
+    weights = np.diag(c * c)
+    return np.kron(weights, np.eye(d) / d) + np.kron(np.outer(c, c) - weights, rho / (d * d))
 
 
 def _log_det_psd(matrix: np.ndarray) -> float:

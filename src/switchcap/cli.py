@@ -9,10 +9,10 @@ Subcommands:
 * ``limit``  - print the large-M saturation value with a convergence column.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O
-error, 4 size guard, 5 numerical failure (a non-Hermitian matrix or an
-eigensolver failure inside the computation).  All randomness is controlled
-by ``--seed``; output is byte-stable for identical flags and seed, for any
-worker count.
+error, 4 size guard, 5 numerical failure (a non-Hermitian matrix, an
+eigensolver failure, or an invalid state or spectrum inside the
+computation).  All randomness is controlled by ``--seed``; output is
+byte-stable for identical flags and seed.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +32,8 @@ from .channels import check_completeness, weyl_basis
 from .errors import (
     DimensionOutOfRangeError,
     DomainError,
+    InvalidSpectrumError,
+    InvalidStateError,
     NoConvergenceError,
     NotHermitianError,
     SizeGuardError,
@@ -116,6 +116,8 @@ def parse_int_list(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise DomainError(f"empty range {item!r}")
+            if len(values) + hi - lo + 1 > ORDER_RANGE[1]:
+                raise DomainError(f"{text!r} expands to more than {ORDER_RANGE[1]} integers")
             values.extend(range(lo, hi + 1))
         else:
             values.append(int(item))
@@ -141,22 +143,8 @@ def _grid_points(dims: tuple[int, ...], orders: tuple[int, ...]) -> list[tuple[i
     return sorted(points, key=lambda p: (p[1], p[0]))
 
 
-def _capacity_row(point: tuple[int, int]) -> CapacityReport:
-    m, d = point
-    return holevo(m, d)
-
-
-def worker_count(jobs: int, tasks: int) -> int:
-    """Workers to start: ``--jobs`` capped by the task and CPU counts, at least 1."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
-
-
-def _compute_grid(points: list[tuple[int, int]], jobs: int) -> list[CapacityReport]:
-    workers = worker_count(jobs, len(points))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_capacity_row, points))
-    return [_capacity_row(p) for p in points]
+def _compute_grid(points: list[tuple[int, int]]) -> list[CapacityReport]:
+    return [holevo(m, d) for m, d in points]
 
 
 def _rows_as_dicts(rows: list[CapacityReport]) -> list[dict]:
@@ -189,7 +177,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     dims = parse_int_list(args.dims)
     orders = parse_int_list(args.orders)
     _validate_grid(dims, orders)
-    rows = _compute_grid(_grid_points(dims, orders), args.jobs)
+    rows = _compute_grid(_grid_points(dims, orders))
     if args.format == "json":
         print(_json_document(_rows_as_dicts(rows), args.seed))
     elif args.format == "csv":
@@ -208,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         output_path=args.out,
         format=args.format,
     )
-    rows = _compute_grid(_grid_points(request.dims, request.orders), args.jobs)
+    rows = _compute_grid(_grid_points(request.dims, request.orders))
     if request.format == "json":
         payload = _json_document(_rows_as_dicts(rows), args.seed)
     else:
@@ -262,40 +250,28 @@ def run_verify_case(
     pure[0, 0] = 1.0
     inputs = [pure, random_density_matrix(dim, rng), np.eye(dim, dtype=complex) / dim]
 
-    enforced = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if i == j or cyclically_related(orders.orders[i], orders.orders[j])
-    ]
-    free = [(i, j) for i in range(m) for j in range(m) if (i, j) not in set(enforced)]
-
-    max_block_residual = 0.0
-    divergence: dict[tuple[int, int], float] = {}
+    related = np.array(
+        [
+            [i == j or cyclically_related(a, b) for j, b in enumerate(orders.orders)]
+            for i, a in enumerate(orders.orders)
+        ]
+    )
+    residual = np.zeros((m, m))
     for rho in inputs:
         produced = apply_switch(orders, basis, amplitudes, rho)
         predicted = analytic_output_state(rho, m, amplitudes)
-        d = dim
-        for i, j in enforced:
-            delta = np.abs(
-                produced.block(i, j) - predicted[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            ).max()
-            max_block_residual = max(max_block_residual, float(delta))
-        for i, j in free:
-            delta = np.abs(
-                produced.block(i, j) - predicted[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            ).max()
-            divergence[(i, j)] = max(divergence.get((i, j), 0.0), float(delta))
+        delta = np.abs(produced.state - predicted).reshape(m, dim, m, dim).max(axis=(1, 3))
+        residual = np.maximum(residual, delta)
+    max_block_residual = float(residual[related].max())
 
     kraus_residual = check_completeness(build_switch_kraus(orders, basis))
     chi_oracle = holevo_oracle(orders, basis, n_samples=samples, seed=seed)
     chi_analytic = holevo(m, dim).chi
 
-    fully_cyclic = not free
+    fully_cyclic = bool(related.all())
     divergent_pairs = [
-        {"i": i, "j": j, "deviation": dev}
-        for (i, j), dev in sorted(divergence.items())
-        if dev > tol
+        {"i": int(i), "j": int(j), "deviation": float(residual[i, j])}
+        for i, j in np.argwhere(~related & (residual > tol))
     ]
     failed = max_block_residual >= tol or (
         fully_cyclic and abs(chi_analytic - chi_oracle) >= chi_tol
@@ -322,10 +298,6 @@ def run_verify_case(
     )
 
 
-def _verify_case_worker(case: tuple) -> VerifyReport:
-    return run_verify_case(*case)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     perms = parse_permutations(args.perms) if args.perms else None
     if args.mode == "explicit":
@@ -335,17 +307,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         channel_counts = parse_int_list(args.channels)
     dims = parse_int_list(args.dim)
-    cases = [
-        (n, d, args.mode, perms, args.tol, args.chi_tol, args.samples, args.seed)
+    reports = [
+        run_verify_case(n, d, args.mode, perms, args.tol, args.chi_tol, args.samples, args.seed)
         for n in channel_counts
         for d in dims
     ]
-    workers = worker_count(args.jobs, len(cases))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_case_worker, cases))
-    else:
-        reports = [_verify_case_worker(c) for c in cases]
     rows = [dataclasses.asdict(r) for r in reports]
     print(_json_document(rows, args.seed))
     return 1 if any(r.status == "fail" for r in reports) else 0
@@ -376,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--orders", default="2..6", help="order counts, e.g. 2..6")
     table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     table.add_argument("--seed", type=int, default=42)
-    table.add_argument("--jobs", type=int, default=1)
     table.set_defaults(func=cmd_table)
 
     sweep = sub.add_parser("sweep", help="write the rate grid to a file")
@@ -385,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", default="-", help="output path, or - for stdout")
     sweep.add_argument("--seed", type=int, default=42)
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="brute-force versus closed-form check")
@@ -397,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--chi-tol", type=float, default=1e-6)
     verify.add_argument("--samples", type=int, default=64)
     verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--jobs", type=int, default=1)
     verify.set_defaults(func=cmd_verify)
 
     limit = sub.add_parser("limit", help="large-M saturation value")
@@ -418,15 +381,15 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         print(f"switchcap: size guard: {exc}", file=sys.stderr)
         return 4
+    except (NotHermitianError, NoConvergenceError, InvalidSpectrumError, InvalidStateError) as exc:
+        print(f"switchcap: numerical failure: {exc}", file=sys.stderr)
+        return 5
     except (DomainError, DimensionOutOfRangeError, ValueError) as exc:
         print(f"switchcap: invalid arguments: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"switchcap: i/o error: {exc}", file=sys.stderr)
         return 3
-    except (NotHermitianError, NoConvergenceError) as exc:
-        print(f"switchcap: numerical failure: {exc}", file=sys.stderr)
-        return 5
 
 
 if __name__ == "__main__":

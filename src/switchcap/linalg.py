@@ -5,8 +5,7 @@ row-major order.  Density matrices are square, Hermitian, positive
 semidefinite and unit trace; spectra are 1-D ``float64`` arrays sorted in
 descending order, computed by LAPACK through ``numpy.linalg.eigvalsh``.
 Inputs with a NaN or infinite entry are rejected, never passed on.
-Everything here is a pure function: inputs are never mutated and results
-are safe to share across workers.
+Everything here is a pure function: inputs are never mutated.
 """
 
 from __future__ import annotations

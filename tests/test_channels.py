@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import switchcap
 from switchcap.channels import (
     MAX_DIM,
     MIN_DIM,
@@ -129,3 +130,9 @@ class TestCheckCompleteness:
     def test_mixed_shapes_rejected(self):
         with pytest.raises(DimensionMismatchError):
             check_completeness([np.eye(2), np.eye(3)])
+
+
+def test_package_exports_resolve():
+    assert "weyl_basis" in switchcap.__all__
+    for name in switchcap.__all__:
+        assert hasattr(switchcap, name), name

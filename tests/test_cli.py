@@ -1,13 +1,20 @@
 """Tests for the command-line interface."""
 
 import json
+import time
 
 import pytest
 
 from switchcap.capacity import holevo
-from switchcap import cli
-from switchcap.cli import CSV_HEADER, main, parse_int_list, parse_permutations, worker_count
-from switchcap.errors import DomainError, NoConvergenceError, NotHermitianError
+from switchcap.cli import CSV_HEADER, ORDER_RANGE, main, parse_int_list, parse_permutations
+from switchcap.errors import (
+    DomainError,
+    InvalidSpectrumError,
+    InvalidStateError,
+    NoConvergenceError,
+    NotHermitianError,
+)
+from switchcap.switch import all_orders, cyclically_related
 
 PRINTED_RATES = [
     "0.0488",
@@ -36,6 +43,17 @@ class TestParsing:
     def test_empty_rejected(self):
         with pytest.raises((DomainError, ValueError)):
             parse_int_list(" , ")
+
+    def test_huge_range_rejected_before_expanding(self):
+        started = time.perf_counter()
+        with pytest.raises(DomainError):
+            parse_int_list("1..1000000000000")
+        assert time.perf_counter() - started < 1.0
+
+    def test_range_bound_counts_earlier_items(self):
+        assert len(parse_int_list(f"1..{ORDER_RANGE[1]}")) == ORDER_RANGE[1]
+        with pytest.raises(DomainError):
+            parse_int_list(f"0,1..{ORDER_RANGE[1]}")
 
     def test_permutations(self):
         assert parse_permutations("0,1,2;1,0,2") == ((0, 1, 2), (1, 0, 2))
@@ -94,17 +112,11 @@ class TestSweep:
             assert float(chi) == pytest.approx(holevo(int(m), int(d)).chi, rel=1e-11)
         assert keys == sorted(keys)
 
-    def test_byte_stable_and_jobs_invariant(self, tmp_path):
-        paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-        for path, jobs in zip(paths, ("1", "1", "2")):
-            assert (
-                main(
-                    ["sweep", "--dims", "2,3", "--orders", "2..9", "--out", str(path), "--jobs", jobs]
-                )
-                == 0
-            )
-        blobs = [p.read_bytes() for p in paths]
-        assert blobs[0] == blobs[1] == blobs[2]
+    def test_byte_stable(self, tmp_path):
+        paths = [tmp_path / name for name in ("a.csv", "b.csv")]
+        for path in paths:
+            assert main(["sweep", "--dims", "2,3", "--orders", "2..9", "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_monotone_approach_to_saturation(self, tmp_path):
         out = tmp_path / "sat.csv"
@@ -146,7 +158,7 @@ class TestVerify:
 
     def test_multiple_cases_fan_out(self, capsys):
         code = main(
-            ["verify", "--channels", "2,3", "--dim", "2,3", "--mode", "cyclic", "--jobs", "2"]
+            ["verify", "--channels", "2,3", "--dim", "2,3", "--mode", "cyclic"]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -165,6 +177,20 @@ class TestVerify:
         # the other pairs genuinely differ from it
         assert len(row["divergent_pairs"]) > 0
         assert all(p["deviation"] > 1e-3 for p in row["divergent_pairs"])
+
+    @pytest.mark.parametrize("n_channels", [3, 4])
+    def test_divergent_pairs_are_the_unrelated_pairs_in_order(self, capsys, n_channels):
+        args = ["verify", "--channels", str(n_channels), "--dim", "2", "--mode", "all"]
+        assert main(args) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        orders = all_orders(n_channels).orders
+        unrelated = [
+            (i, j)
+            for i, a in enumerate(orders)
+            for j, b in enumerate(orders)
+            if i != j and not cyclically_related(a, b)
+        ]
+        assert [(p["i"], p["j"]) for p in row["divergent_pairs"]] == unrelated
 
     def test_explicit_subset_of_a_cyclic_class(self, capsys):
         # two cyclically related orders of three channels behave like M=2
@@ -193,7 +219,9 @@ class TestVerify:
     def test_size_guard_exit_code(self, capsys):
         assert main(["verify", "--channels", "4", "--dim", "3", "--mode", "all"]) == 4
 
-    @pytest.mark.parametrize("error", [NoConvergenceError, NotHermitianError])
+    @pytest.mark.parametrize(
+        "error", [NoConvergenceError, NotHermitianError, InvalidSpectrumError, InvalidStateError]
+    )
     def test_numerical_failure_exit_code(self, monkeypatch, capsys, error):
         def fail(*args, **kwargs):
             raise error("injected")
@@ -204,34 +232,6 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "switchcap: numerical failure: injected\n"
-
-
-class TestWorkerCount:
-    @pytest.mark.parametrize(
-        "jobs,tasks,cpus,expected",
-        [
-            (1, 10, 4, 1),
-            (3, 10, 4, 3),
-            (1000, 10, 4, 4),
-            (1000, 2, 4, 2),
-            (8, 0, 4, 1),
-            (0, 10, 4, 1),
-            (-3, 10, 4, 1),
-            (8, 10, None, 1),
-        ],
-    )
-    def test_clamped_to_tasks_and_cpus(self, monkeypatch, jobs, tasks, cpus, expected):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        assert worker_count(jobs, tasks) == expected
-
-    def test_single_worker_runs_inline(self, monkeypatch, capsys):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started for one worker")
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-        assert main(["table", "--dims", "2", "--orders", "2..4", "--jobs", "64"]) == 0
-        assert main(["verify", "--channels", "2", "--dim", "2", "--jobs", "64"]) == 0
 
 
 class TestLimit:
@@ -254,6 +254,18 @@ class TestLimit:
 
     def test_rejects_dimension_below_two(self, capsys):
         assert main(["limit", "--dim", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--jobs", "2"],
+        ["sweep", "--dims", "2", "--orders", "2", "--jobs", "2"],
+        ["verify", "--jobs", "2"],
+    ],
+)
+def test_jobs_flag_is_gone(capsys, argv):
+    assert main(argv) == 2
 
 
 def test_version_flag(capsys):
