@@ -73,7 +73,10 @@ def output_spectrum(m_orders: int, dim: int, rho_spectrum: np.ndarray) -> np.nda
 def s_min(m_orders: int, dim: int) -> float:
     """Smallest output entropy over target states, attained at pure inputs."""
     _check_point(m_orders, dim)
-    m, d = m_orders, dim
+    return _s_min(m_orders, dim)
+
+
+def _s_min(m: int, d: int) -> float:
     if m == 1:
         return math.log2(d)
     md2 = m * d * d
@@ -89,7 +92,10 @@ def s_min(m_orders: int, dim: int) -> float:
 def control_entropy(m_orders: int, dim: int) -> float:
     """Entropy of the reduced control state after the switch."""
     _check_point(m_orders, dim)
-    m, d = m_orders, dim
+    return _control_entropy(m_orders, dim)
+
+
+def _control_entropy(m: int, d: int) -> float:
     if m == 1:
         return 0.0
     md2 = m * d * d
@@ -104,8 +110,8 @@ def holevo(m_orders: int, dim: int) -> CapacityReport:
     A single order (M=1) transmits nothing: chi is exactly 0.
     """
     _check_point(m_orders, dim)
-    smin = s_min(m_orders, dim)
-    scontrol = control_entropy(m_orders, dim)
+    smin = _s_min(m_orders, dim)
+    scontrol = _control_entropy(m_orders, dim)
     chi = math.log2(dim) + scontrol - smin
     return CapacityReport(
         m_orders=m_orders, dim=dim, s_min=smin, s_control=scontrol, chi=chi

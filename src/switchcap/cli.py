@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``table``  - print rate summaries for an (orders, dims) grid.
-* ``sweep``  - write the same grid as CSV or JSON for plotting.
+* ``sweep``  - write the same grid as CSV or JSON for plotting.  CSV rows
+  are streamed, one point at a time, so memory does not grow with the grid.
 * ``verify`` - compare the brute-force switch output and sampled rate
   against the closed forms, emitting a machine-readable report.
 * ``limit``  - print the large-M saturation value with a convergence column.
@@ -20,8 +21,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,8 @@ from .switch import (
 
 ANALYTIC_DIM_RANGE = (2, 64)
 ORDER_RANGE = (1, 10**6)
+# Largest --samples accepted; the oracle builds one state per sample.
+MAX_ORACLE_SAMPLES = 10**5
 
 CSV_HEADER = "m_orders,dim,chi_bits,s_min_bits,s_control_bits"
 
@@ -138,12 +143,15 @@ def parse_permutations(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _grid_points(dims: tuple[int, ...], orders: tuple[int, ...]) -> list[tuple[int, int]]:
-    points = {(m, d) for d in dims for m in orders}
-    return sorted(points, key=lambda p: (p[1], p[0]))
+def _grid_points(dims: tuple[int, ...], orders: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Distinct (m, d) points, sorted by dimension and then by order count."""
+    sorted_orders = sorted(set(orders))
+    for d in sorted(set(dims)):
+        for m in sorted_orders:
+            yield m, d
 
 
-def _compute_grid(points: list[tuple[int, int]]) -> list[CapacityReport]:
+def _compute_grid(points: Iterable[tuple[int, int]]) -> list[CapacityReport]:
     return [holevo(m, d) for m, d in points]
 
 
@@ -164,13 +172,10 @@ def _json_document(rows: list[dict], seed: int) -> str:
     return json.dumps({"rows": rows, "meta": {"seed": seed, "version": __version__}})
 
 
-def _csv_lines(rows: list[CapacityReport]) -> list[str]:
-    lines = [CSV_HEADER]
+def _csv_lines(rows: Iterable[CapacityReport]) -> Iterator[str]:
+    yield CSV_HEADER
     for r in rows:
-        lines.append(
-            f"{r.m_orders},{r.dim},{r.chi:.12g},{r.s_min:.12g},{r.s_control:.12g}"
-        )
-    return lines
+        yield f"{r.m_orders},{r.dim},{r.chi:.12g},{r.s_min:.12g},{r.s_control:.12g}"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -196,16 +201,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         output_path=args.out,
         format=args.format,
     )
-    rows = _compute_grid(_grid_points(request.dims, request.orders))
+    points = _grid_points(request.dims, request.orders)
     if request.format == "json":
-        payload = _json_document(_rows_as_dicts(rows), args.seed)
+        chunks = [_json_document(_rows_as_dicts(_compute_grid(points)), args.seed)]
     else:
-        payload = "\n".join(_csv_lines(rows)) + "\n"
+        # Lazy: each point is evaluated, formatted and written before the next.
+        chunks = (f"{line}\n" for line in _csv_lines(holevo(m, d) for m, d in points))
     if request.output_path == "-":
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
     else:
         with open(request.output_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
     return 0
 
 
@@ -299,6 +305,11 @@ def run_verify_case(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, tol in (("--tol", args.tol), ("--chi-tol", args.chi_tol)):
+        if not (math.isfinite(tol) and tol > 0):
+            raise DomainError(f"{flag} must be a positive finite number, got {tol!r}")
+    if not 1 <= args.samples <= MAX_ORACLE_SAMPLES:
+        raise DomainError(f"--samples {args.samples} outside [1, {MAX_ORACLE_SAMPLES}]")
     perms = parse_permutations(args.perms) if args.perms else None
     if args.mode == "explicit":
         if perms is None:

@@ -2,11 +2,19 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
 from switchcap.capacity import holevo
-from switchcap.cli import CSV_HEADER, ORDER_RANGE, main, parse_int_list, parse_permutations
+from switchcap.cli import (
+    CSV_HEADER,
+    MAX_ORACLE_SAMPLES,
+    ORDER_RANGE,
+    main,
+    parse_int_list,
+    parse_permutations,
+)
 from switchcap.errors import (
     DomainError,
     InvalidSpectrumError,
@@ -118,6 +126,38 @@ class TestSweep:
             assert main(["sweep", "--dims", "2,3", "--orders", "2..9", "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_duplicates_and_input_order_do_not_matter(self, tmp_path):
+        messy, clean = tmp_path / "messy.csv", tmp_path / "clean.csv"
+        assert main(["sweep", "--dims", "3,2,3", "--orders", "6,2,6,3", "--out", str(messy)]) == 0
+        assert main(["sweep", "--dims", "2,3", "--orders", "2,3,6", "--out", str(clean)]) == 0
+        assert messy.read_bytes() == clean.read_bytes()
+
+    def test_table_csv_matches_sweep_csv(self, tmp_path, capsys):
+        grid = ["--dims", "2..4", "--orders", "1,5..7"]
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", *grid, "--out", str(out)]) == 0
+        assert main(["table", *grid, "--format", "csv"]) == 0
+        # print() ends the table with one newline, as the sweep ends its last row
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_invalid_grid_creates_no_file(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["sweep", "--dims", "2", "--orders", "0..3", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # 30 000 points; rows are written as they are computed, not held.
+        out = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--dims", "2..16", "--orders", "1..2000", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2**20
+        assert out.read_text().count("\n") == 1 + 15 * 2000
+
     def test_monotone_approach_to_saturation(self, tmp_path):
         out = tmp_path / "sat.csv"
         code = main(
@@ -212,6 +252,22 @@ class TestVerify:
         assert row["status"] == "divergent-block"
         assert row["passed"] is None
         assert {(p["i"], p["j"]) for p in row["divergent_pairs"]} == {(0, 1), (1, 0)}
+
+    @pytest.mark.parametrize("flag", ["--tol", "--chi-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-6"])
+    def test_bad_tolerance_is_argument_error(self, capsys, monkeypatch, flag, value):
+        def never(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr("switchcap.cli.run_verify_case", never)
+        assert main(["verify", "--channels", "3", "--mode", "all", f"{flag}={value}"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("samples", [0, MAX_ORACLE_SAMPLES + 1, 10**15])
+    def test_samples_out_of_range_rejected_before_allocating(self, capsys, samples):
+        started = time.perf_counter()
+        assert main(["verify", "--channels", "2", "--samples", str(samples)]) == 2
+        assert time.perf_counter() - started < 1.0
 
     def test_explicit_mode_requires_perms(self, capsys):
         assert main(["verify", "--mode", "explicit", "--dim", "2"]) == 2
