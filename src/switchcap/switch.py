@@ -42,6 +42,14 @@ OPERATION_BUDGET = 10**9
 # Largest channel count for full permutation enumeration.
 MAX_FACTORIAL_CHANNELS = 5
 
+# Largest oracle sample count.  Each sample costs one Python-level draw and
+# one spectrum, ~0.1 ms at M*d = 4, so the cap keeps the loop near 10 s.
+MAX_ORACLE_SAMPLES = 10**5
+
+# Bytes the oracle may hold in sampled output states, one complex
+# (M*d, M*d) matrix per sample: ~7000 samples (~3 s) at N=4, d=2, M=24.
+ORACLE_STATE_BUDGET = 2**28
+
 Permutation = tuple[int, ...]
 
 
@@ -169,6 +177,19 @@ def check_size_guard(orders: OrderSet, dim: int) -> None:
         raise SizeGuardError(
             f"N={n}, d={dim}, M={m} needs ~{cost:.2e} operations "
             f"(budget {OPERATION_BUDGET:.0e})"
+        )
+
+
+def check_oracle_size(orders: OrderSet, dim: int, n_samples: int) -> None:
+    """Reject a sample count out of range or a sample stack above budget."""
+    if not 1 <= n_samples <= MAX_ORACLE_SAMPLES:
+        raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
+    # The d basis states are always sampled, plus the maximally mixed input.
+    size = (max(n_samples, dim) + 1) * (orders.m_orders * dim) ** 2 * 16
+    if size > ORACLE_STATE_BUDGET:
+        raise SizeGuardError(
+            f"{n_samples} samples at d={dim}, M={orders.m_orders} need "
+            f"~{size:.2e} bytes of output states (budget {ORACLE_STATE_BUDGET:.2e})"
         )
 
 
@@ -325,11 +346,13 @@ def holevo_oracle(
     ``n_samples - d`` Haar-random pure states drawn from the seeded
     generator; for cyclic order sets the minimum is attained at pure basis
     states, so the bound is tight there.  Adding samples can only lower the
-    reported minimum, never raise it.
+    reported minimum, never raise it.  A sample count outside
+    [1, MAX_ORACLE_SAMPLES] raises DomainError, and one whose output states
+    exceed ORACLE_STATE_BUDGET bytes raises SizeGuardError, before any
+    state is drawn.
     """
-    if n_samples < 1:
-        raise DomainError(f"need at least one sample, got {n_samples}")
     d = basis.dim
+    check_oracle_size(orders, d, n_samples)
     check_size_guard(orders, d)
     switch_map = _switch_map(orders.orders, basis, orders.n_channels)
     amplitudes = ControlAmplitudes.uniform(orders.m_orders).as_array()

@@ -7,14 +7,7 @@ import tracemalloc
 import pytest
 
 from switchcap.capacity import holevo
-from switchcap.cli import (
-    CSV_HEADER,
-    MAX_ORACLE_SAMPLES,
-    ORDER_RANGE,
-    main,
-    parse_int_list,
-    parse_permutations,
-)
+from switchcap.cli import CSV_HEADER, ORDER_RANGE, main, parse_int_list, parse_permutations
 from switchcap.errors import (
     DomainError,
     InvalidSpectrumError,
@@ -22,7 +15,7 @@ from switchcap.errors import (
     NoConvergenceError,
     NotHermitianError,
 )
-from switchcap.switch import all_orders, cyclically_related
+from switchcap.switch import MAX_ORACLE_SAMPLES, all_orders, cyclically_related
 
 PRINTED_RATES = [
     "0.0488",
@@ -264,10 +257,26 @@ class TestVerify:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("samples", [0, MAX_ORACLE_SAMPLES + 1, 10**15])
-    def test_samples_out_of_range_rejected_before_allocating(self, capsys, samples):
+    def test_samples_out_of_range_rejected_before_allocating(self, capsys, monkeypatch, samples):
+        def never(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr("switchcap.switch.haar_random_state", never)
         started = time.perf_counter()
         assert main(["verify", "--channels", "2", "--samples", str(samples)]) == 2
         assert time.perf_counter() - started < 1.0
+
+    def test_sample_stack_over_budget_is_size_guard(self, capsys, monkeypatch):
+        # In the sample cap, but 50 001 states of 48 x 48 would take ~1.8 GB.
+        def never(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr("switchcap.switch.haar_random_state", never)
+        argv = ["verify", "--channels", "4", "--mode", "all", "--samples", "50000"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bytes of output states" in captured.err
 
     def test_explicit_mode_requires_perms(self, capsys):
         assert main(["verify", "--mode", "explicit", "--dim", "2"]) == 2

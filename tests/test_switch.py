@@ -9,11 +9,14 @@ from switchcap.channels import weyl_basis
 from switchcap.errors import DimensionMismatchError, DomainError, InvalidStateError, SizeGuardError
 from switchcap.linalg import dagger, hermitian_spectrum, von_neumann_entropy
 from switchcap.switch import (
+    MAX_ORACLE_SAMPLES,
+    ORACLE_STATE_BUDGET,
     ControlAmplitudes,
     OrderSet,
     all_orders,
     apply_switch,
     build_switch_kraus,
+    check_oracle_size,
     check_size_guard,
     cross_term,
     cyclic_orders,
@@ -313,6 +316,22 @@ class TestHolevoOracle:
     def test_rejects_zero_samples(self):
         with pytest.raises(DomainError):
             holevo_oracle(cyclic_orders(2), weyl_basis(2), n_samples=0)
+
+    def test_rejects_samples_above_cap_before_any_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the switch map was built")
+
+        monkeypatch.setattr("switchcap.switch._switch_map", never)
+        with pytest.raises(DomainError):
+            holevo_oracle(cyclic_orders(2), weyl_basis(2), n_samples=MAX_ORACLE_SAMPLES + 1)
+
+    def test_state_budget_boundary(self):
+        # N=4, d=2, all 24 orders: one 48 x 48 complex state per sample.
+        orders = all_orders(4)
+        largest = ORACLE_STATE_BUDGET // (48 * 48 * 16) - 1
+        check_oracle_size(orders, 2, largest)
+        with pytest.raises(SizeGuardError):
+            check_oracle_size(orders, 2, largest + 1)
 
 
 class TestSampling:
