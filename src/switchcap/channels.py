@@ -9,7 +9,7 @@ cross-term behavior reproducible in regression tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -38,12 +38,6 @@ class UnitaryBasis:
                 f"expected {(d * d, d, d)} operators, got shape {self.ops.shape}"
             )
         self.ops.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.ops.shape[0]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.ops)
 
 
 def weyl_basis(dim: int) -> UnitaryBasis:

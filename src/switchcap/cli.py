@@ -3,9 +3,10 @@
 Subcommands:
 
 * ``table``  - print rate summaries for an (orders, dims) grid.
-* ``sweep``  - write the same grid as CSV or JSON for plotting.  CSV rows
-  are streamed, one point at a time, so memory does not grow with the grid;
-  an interrupted CSV sweep leaves the rows written so far in ``--out``.
+* ``sweep``  - write the same grid as CSV or JSON for plotting.  Both are
+  ``cmd_grid``: text and CSV rows are streamed one point at a time, so
+  memory does not grow with the grid, an interrupted sweep leaves the rows
+  written so far in ``--out``, and every output ends with a newline.
 * ``verify`` - compare the brute-force switch output and sampled rate
   against the closed forms, emitting a machine-readable report.
 * ``limit``  - print the large-M saturation value with a convergence column.
@@ -76,21 +77,6 @@ def _validate_grid(dims: tuple[int, ...], orders: tuple[int, ...]) -> None:
             raise DomainError(f"order count {m} outside [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class SweepRequest:
-    """Validated parameters of a capacity grid sweep."""
-
-    dims: tuple[int, ...]
-    orders: tuple[int, ...]
-    output_path: str
-    format: str
-
-    def __post_init__(self) -> None:
-        _validate_grid(self.dims, self.orders)
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"unsupported sweep format {self.format!r}")
-
-
 @dataclass
 class VerifyReport:
     """Outcome of one oracle-versus-closed-form comparison case."""
@@ -151,11 +137,6 @@ def _grid_points(dims: tuple[int, ...], orders: tuple[int, ...]) -> Iterator[tup
             yield m, d
 
 
-def _compute_grid(points: Iterable[tuple[int, int]]) -> Iterator[CapacityReport]:
-    """Closed-form reports for the points, computed lazily one at a time."""
-    return (holevo(m, d) for m, d in points)
-
-
 def _rows_as_dicts(rows: Iterable[CapacityReport]) -> list[dict]:
     return [
         {
@@ -179,48 +160,37 @@ def _csv_lines(rows: Iterable[CapacityReport]) -> Iterator[str]:
         yield f"{r.m_orders},{r.dim},{r.chi:.12g},{r.s_min:.12g},{r.s_control:.12g}"
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def _text_lines(rows: Iterable[CapacityReport]) -> Iterator[str]:
+    yield f"{'m_orders':>8} {'dim':>4} {'chi_bits':>9} {'s_min_bits':>12} {'s_control_bits':>15}"
+    for r in rows:
+        yield f"{r.m_orders:>8} {r.dim:>4} {r.chi:>9.4f} {r.s_min:>12.6f} {r.s_control:>15.6f}"
+
+
+def cmd_grid(args: argparse.Namespace) -> int:
     dims = parse_int_list(args.dims)
     orders = parse_int_list(args.orders)
     _validate_grid(dims, orders)
-    rows = _compute_grid(_grid_points(dims, orders))
+    rows = (holevo(m, d) for m, d in _grid_points(dims, orders))
     if args.format == "json":
-        print(_json_document(_rows_as_dicts(rows), args.seed))
+        lines: Iterable[str] = [_json_document(_rows_as_dicts(rows), args.seed)]
     elif args.format == "csv":
-        print("\n".join(_csv_lines(rows)))
+        lines = _csv_lines(rows)
     else:
-        print(f"{'m_orders':>8} {'dim':>4} {'chi_bits':>9} {'s_min_bits':>12} {'s_control_bits':>15}")
-        for r in rows:
-            print(f"{r.m_orders:>8} {r.dim:>4} {r.chi:>9.4f} {r.s_min:>12.6f} {r.s_control:>15.6f}")
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    request = SweepRequest(
-        dims=parse_int_list(args.dims),
-        orders=parse_int_list(args.orders),
-        output_path=args.out,
-        format=args.format,
-    )
-    rows = _compute_grid(_grid_points(request.dims, request.orders))
-    if request.output_path == "-":
+        lines = _text_lines(rows)
+    if args.out == "-":
         target = contextlib.nullcontext(sys.stdout)
     else:
-        target = open(request.output_path, "w", encoding="utf-8")
+        target = open(args.out, "w", encoding="utf-8")
     with target as handle:
-        if request.format == "json":
-            handle.write(_json_document(_rows_as_dicts(rows), args.seed))
-        else:
-            # Each point is computed, formatted and written before the next.
-            handle.writelines(f"{line}\n" for line in _csv_lines(rows))
+        # Each text or CSV row is computed, formatted and written before the next.
+        handle.writelines(f"{line}\n" for line in lines)
     return 0
 
 
 def run_verify_case(
-    n_channels: int,
-    dim: int,
+    orders: OrderSet,
     mode: str,
-    perms: tuple[tuple[int, ...], ...] | None,
+    dim: int,
     tol: float,
     chi_tol: float,
     samples: int,
@@ -237,17 +207,6 @@ def run_verify_case(
     ``chi_tol`` only when all order pairs are cyclically related.
     """
     started = time.perf_counter()
-    if mode == "cyclic":
-        orders = cyclic_orders(n_channels)
-    elif mode == "all":
-        orders = all_orders(n_channels)
-    elif mode == "explicit":
-        if not perms:
-            raise DomainError("explicit mode needs --perms")
-        orders = OrderSet(orders=perms)
-    else:
-        raise DomainError(f"unknown order mode {mode!r}")
-    n_channels = orders.n_channels
     m = orders.m_orders
     basis = weyl_basis(dim)
     amplitudes = ControlAmplitudes.uniform(m)
@@ -290,7 +249,7 @@ def run_verify_case(
     else:
         status = "pass"
     return VerifyReport(
-        n_channels=n_channels,
+        n_channels=orders.n_channels,
         dim=dim,
         orders_mode=mode,
         orders=[list(o) for o in orders.orders],
@@ -313,13 +272,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "explicit":
         if perms is None:
             raise DomainError("explicit mode needs --perms")
-        channel_counts = (len(perms[0]),)
+        order_sets = [OrderSet(orders=perms)]
     else:
-        channel_counts = parse_int_list(args.channels)
+        build = cyclic_orders if args.mode == "cyclic" else all_orders
+        order_sets = [build(n) for n in parse_int_list(args.channels)]
     dims = parse_int_list(args.dim)
     reports = [
-        run_verify_case(n, d, args.mode, perms, args.tol, args.chi_tol, args.samples, args.seed)
-        for n in channel_counts
+        run_verify_case(orders, args.mode, d, args.tol, args.chi_tol, args.samples, args.seed)
+        for orders in order_sets
         for d in dims
     ]
     rows = [dataclasses.asdict(r) for r in reports]
@@ -352,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--orders", default="2..6", help="order counts, e.g. 2..6")
     table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     table.add_argument("--seed", type=int, default=42)
-    table.set_defaults(func=cmd_table)
+    table.set_defaults(func=cmd_grid, out="-")
 
     sweep = sub.add_parser("sweep", help="write the rate grid to a file")
     sweep.add_argument("--dims", required=True, help="target dimensions, e.g. 2..6")
@@ -360,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", default="-", help="output path, or - for stdout")
     sweep.add_argument("--seed", type=int, default=42)
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_grid)
 
     verify = sub.add_parser("verify", help="brute-force versus closed-form check")
     verify.add_argument("--channels", default="2", help="channel counts, e.g. 2,3")

@@ -25,6 +25,10 @@ DENSITY_HERMITICITY_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_PSD_TOL = 1e-10
 
+# Largest |h - h^dagger| entry hermitian_spectrum accepts before symmetrizing.
+SPECTRUM_HERMITICITY_TOL = 1e-10
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
@@ -39,7 +43,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def hermitian_spectrum(h: np.ndarray, *, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted in descending order.
 
     The input is symmetrized, ``(h + h^dagger) / 2``, to drop its
@@ -48,9 +52,8 @@ def hermitian_spectrum(h: np.ndarray, *, hermiticity_tol: float = 1e-10) -> np.n
     Parameters
     ----------
     h : ndarray
-        Square matrix with finite entries, Hermitian within ``hermiticity_tol``.
-    hermiticity_tol : float
-        Largest allowed ``|h - h^dagger|`` entry before rejecting the input.
+        Square matrix with finite entries, Hermitian within
+        ``SPECTRUM_HERMITICITY_TOL``.
 
     Raises
     ------
@@ -67,10 +70,10 @@ def hermitian_spectrum(h: np.ndarray, *, hermiticity_tol: float = 1e-10) -> np.n
     if not np.isfinite(a).all():
         raise NotHermitianError("matrix has NaN or infinite entries")
     asym = float(np.abs(a - dagger(a)).max()) if a.size else 0.0
-    if asym > hermiticity_tol:
+    if asym > SPECTRUM_HERMITICITY_TOL:
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by {asym:.3e} "
-            f"(tolerance {hermiticity_tol:.1e})"
+            f"(tolerance {SPECTRUM_HERMITICITY_TOL:.1e})"
         )
     trace = float(np.trace(a).real)
     a = (a + dagger(a)) / 2.0

@@ -35,10 +35,6 @@ from .errors import (
 )
 from .linalg import hermitian_spectrum, validate_density_matrix, von_neumann_entropy
 
-# Brute-force summation budget in elementary operations; keeps a verify run
-# under about a minute at desk scale.
-OPERATION_BUDGET = 10**9
-
 # Largest channel count for full permutation enumeration.
 MAX_FACTORIAL_CHANNELS = 5
 
@@ -46,9 +42,11 @@ MAX_FACTORIAL_CHANNELS = 5
 # one spectrum, ~0.1 ms at M*d = 4, so the cap keeps the loop near 10 s.
 MAX_ORACLE_SAMPLES = 10**5
 
-# Bytes the oracle may hold in sampled output states, one complex
-# (M*d, M*d) matrix per sample: ~7000 samples (~3 s) at N=4, d=2, M=24.
-ORACLE_STATE_BUDGET = 2**28
+# Bytes one brute-force array family may take: the Kraus stack plus the
+# order products (check_size_guard), or the oracle's sampled output states,
+# one complex (M*d, M*d) matrix per sample: ~7000 samples (~3 s) at N=4,
+# d=2, M=24 (check_oracle_size).
+BYTE_BUDGET = 2**28
 
 Permutation = tuple[int, ...]
 
@@ -169,14 +167,18 @@ def cyclically_related(a: Permutation, b: Permutation) -> bool:
 
 
 def check_size_guard(orders: OrderSet, dim: int) -> None:
-    """Reject brute-force requests above the operation budget."""
+    """Reject brute-force requests whose arrays exceed the byte budget.
+
+    A request holds d^(2N) complex Kraus operators of (M*d)^2 entries and
+    the order products behind them, M*d^2 entries per index tuple.
+    """
     m = orders.m_orders
     n = orders.n_channels
-    cost = m * m * dim ** (2 * n) * (m * dim) ** 2
-    if cost > OPERATION_BUDGET:
+    size = dim ** (2 * n) * ((m * dim) ** 2 + m * dim * dim) * 16
+    if size > BYTE_BUDGET:
         raise SizeGuardError(
-            f"N={n}, d={dim}, M={m} needs ~{cost:.2e} operations "
-            f"(budget {OPERATION_BUDGET:.0e})"
+            f"N={n}, d={dim}, M={m} needs ~{size:.2e} bytes of Kraus operators "
+            f"and order products (budget {BYTE_BUDGET:.2e})"
         )
 
 
@@ -186,10 +188,10 @@ def check_oracle_size(orders: OrderSet, dim: int, n_samples: int) -> None:
         raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
     # The d basis states are always sampled, plus the maximally mixed input.
     size = (max(n_samples, dim) + 1) * (orders.m_orders * dim) ** 2 * 16
-    if size > ORACLE_STATE_BUDGET:
+    if size > BYTE_BUDGET:
         raise SizeGuardError(
             f"{n_samples} samples at d={dim}, M={orders.m_orders} need "
-            f"~{size:.2e} bytes of output states (budget {ORACLE_STATE_BUDGET:.2e})"
+            f"~{size:.2e} bytes of output states (budget {BYTE_BUDGET:.2e})"
         )
 
 
@@ -348,7 +350,7 @@ def holevo_oracle(
     states, so the bound is tight there.  Adding samples can only lower the
     reported minimum, never raise it.  A sample count outside
     [1, MAX_ORACLE_SAMPLES] raises DomainError, and one whose output states
-    exceed ORACLE_STATE_BUDGET bytes raises SizeGuardError, before any
+    exceed BYTE_BUDGET bytes raises SizeGuardError, before any
     state is drawn.
     """
     d = basis.dim

@@ -125,30 +125,48 @@ class TestSweep:
         assert main(["sweep", "--dims", "2,3", "--orders", "2,3,6", "--out", str(clean)]) == 0
         assert messy.read_bytes() == clean.read_bytes()
 
-    def test_table_csv_matches_sweep_csv(self, tmp_path, capsys):
-        grid = ["--dims", "2..4", "--orders", "1,5..7"]
-        out = tmp_path / "grid.csv"
+    @staticmethod
+    def _table_matches_sweep(tmp_path, capsys, fmt):
+        grid = ["--dims", "2..4", "--orders", "1,5..7", "--format", fmt]
+        out = tmp_path / f"grid.{fmt}"
         assert main(["sweep", *grid, "--out", str(out)]) == 0
-        assert main(["table", *grid, "--format", "csv"]) == 0
-        # print() ends the table with one newline, as the sweep ends its last row
+        assert main(["table", *grid]) == 0
+        # both end with one newline, after the last row or the JSON document
         assert capsys.readouterr().out == out.read_text()
+
+    def test_table_csv_matches_sweep_csv(self, tmp_path, capsys):
+        self._table_matches_sweep(tmp_path, capsys, "csv")
+
+    def test_table_json_matches_sweep_json(self, tmp_path, capsys):
+        self._table_matches_sweep(tmp_path, capsys, "json")
 
     def test_invalid_grid_creates_no_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         assert main(["sweep", "--dims", "2", "--orders", "0..3", "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
+        self._memory_does_not_grow(tmp_path, monkeypatch, ["sweep", "--out", "grid.csv"])
+
+    def test_table_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
+        self._memory_does_not_grow(tmp_path, monkeypatch, ["table", "--format", "csv"])
+
+    @staticmethod
+    def _memory_does_not_grow(tmp_path, monkeypatch, argv):
         # 30 000 points; rows are written as they are computed, not held.
-        out = tmp_path / "grid.csv"
-        tracemalloc.start()
-        try:
-            code = main(["sweep", "--dims", "2..16", "--orders", "1..2000", "--out", str(out)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # stdout goes to a file, so captured output is not counted as held.
+        monkeypatch.chdir(tmp_path)
+        with open("stdout.txt", "w", encoding="utf-8") as stdout, monkeypatch.context() as patch:
+            patch.setattr("sys.stdout", stdout)
+            tracemalloc.start()
+            try:
+                code = main([*argv, "--dims", "2..16", "--orders", "1..2000"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert code == 0
         assert peak < 2 * 2**20
+        out = tmp_path / ("grid.csv" if argv[0] == "sweep" else "stdout.txt")
         assert out.read_text().count("\n") == 1 + 15 * 2000
 
     def test_monotone_approach_to_saturation(self, tmp_path):
@@ -281,8 +299,37 @@ class TestVerify:
     def test_explicit_mode_requires_perms(self, capsys):
         assert main(["verify", "--mode", "explicit", "--dim", "2"]) == 2
 
-    def test_size_guard_exit_code(self, capsys):
-        assert main(["verify", "--channels", "4", "--dim", "3", "--mode", "all"]) == 4
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "cyclic", "--perms", "x"],  # --perms is parsed in every mode
+            ["--mode", "explicit", "--perms", "0,0"],
+            ["--channels", "1"],
+        ],
+    )
+    def test_bad_order_set_is_argument_error(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_size_guard_exit_code(self, capsys, monkeypatch):
+        self._size_guard(capsys, monkeypatch, ["--channels", "4", "--dim", "3", "--mode", "all"])
+
+    @pytest.mark.parametrize(
+        "argv", [["--channels", "2,6", "--mode", "all"], ["--channels", "2", "--dim", "16"]]
+    )
+    def test_size_guard_before_building(self, capsys, monkeypatch, argv):
+        self._size_guard(capsys, monkeypatch, argv)
+
+    @staticmethod
+    def _size_guard(capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("a switch map was built")
+
+        monkeypatch.setattr("switchcap.switch._switch_map", never)
+        started = time.perf_counter()
+        assert main(["verify", *argv]) == 4
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "error", [NoConvergenceError, NotHermitianError, InvalidSpectrumError, InvalidStateError]

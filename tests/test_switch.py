@@ -9,8 +9,8 @@ from switchcap.channels import weyl_basis
 from switchcap.errors import DimensionMismatchError, DomainError, InvalidStateError, SizeGuardError
 from switchcap.linalg import dagger, hermitian_spectrum, von_neumann_entropy
 from switchcap.switch import (
+    BYTE_BUDGET,
     MAX_ORACLE_SAMPLES,
-    ORACLE_STATE_BUDGET,
     ControlAmplitudes,
     OrderSet,
     all_orders,
@@ -128,6 +128,28 @@ class TestBuildSwitchKraus:
             check_size_guard(all_orders(4), 3)
         with pytest.raises(SizeGuardError):
             build_switch_kraus(all_orders(4), weyl_basis(3))
+
+    @pytest.mark.parametrize(
+        ("n_channels", "mode", "dim", "admitted"),
+        [
+            (4, "all", 2, True),  # 9.4 MiB
+            (4, "cyclic", 3, True),  # 18 MiB
+            (3, "all", 5, True),  # 250 MiB
+            (2, "cyclic", 11, True),  # 162 MiB
+            (2, "cyclic", 12, False),  # 273 MiB
+            (2, "cyclic", 16, False),  # 1.5 GiB
+            (3, "cyclic", 6, False),  # 308 MiB
+            (4, "cyclic", 4, False),  # 320 MiB
+        ],
+    )
+    def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
+        # Kraus stack plus order products: d^(2N) ((M d)^2 + M d^2) complex entries.
+        orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
+        if admitted:
+            check_size_guard(orders, dim)
+        else:
+            with pytest.raises(SizeGuardError, match="bytes"):
+                check_size_guard(orders, dim)
 
 
 class TestApplySwitch:
@@ -328,7 +350,7 @@ class TestHolevoOracle:
     def test_state_budget_boundary(self):
         # N=4, d=2, all 24 orders: one 48 x 48 complex state per sample.
         orders = all_orders(4)
-        largest = ORACLE_STATE_BUDGET // (48 * 48 * 16) - 1
+        largest = BYTE_BUDGET // (48 * 48 * 16) - 1
         check_oracle_size(orders, 2, largest)
         with pytest.raises(SizeGuardError):
             check_oracle_size(orders, 2, largest + 1)
