@@ -36,7 +36,6 @@ from .linalg import (
     dagger,
     hermitian_spectrum,
     partial_trace,
-    tensor,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -47,7 +46,6 @@ from .switch import (
     all_orders,
     apply_switch,
     build_switch_kraus,
-    cross_term,
     cyclic_orders,
     cyclically_related,
     haar_random_state,
@@ -77,7 +75,6 @@ __all__ = [
     "build_switch_kraus",
     "check_completeness",
     "control_entropy",
-    "cross_term",
     "cyclic_orders",
     "cyclically_related",
     "dagger",
@@ -91,7 +88,6 @@ __all__ = [
     "partial_trace",
     "random_density_matrix",
     "s_min",
-    "tensor",
     "validate_density_matrix",
     "von_neumann_entropy",
     "weyl_basis",

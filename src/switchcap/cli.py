@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import CapacityReport, analytic_output_state, asymptotic_limit, holevo
-from .channels import check_completeness, weyl_basis
+from .channels import UnitaryBasis, check_completeness, weyl_basis
 from .errors import (
     DimensionOutOfRangeError,
     DomainError,
@@ -50,9 +51,11 @@ from .switch import (
     all_orders,
     apply_switch,
     build_switch_kraus,
+    check_size_guard,
     cyclic_orders,
     cyclically_related,
     holevo_oracle,
+    order_count,
     random_density_matrix,
 )
 
@@ -90,7 +93,6 @@ class VerifyReport:
     kraus_residual: float
     chi_analytic: float
     chi_oracle: float
-    passed: bool | None
     status: str
     wall_time_s: float
 
@@ -190,7 +192,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def run_verify_case(
     orders: OrderSet,
     mode: str,
-    dim: int,
+    basis: UnitaryBasis,
     tol: float,
     chi_tol: float,
     samples: int,
@@ -208,7 +210,7 @@ def run_verify_case(
     """
     started = time.perf_counter()
     m = orders.m_orders
-    basis = weyl_basis(dim)
+    dim = basis.dim
     amplitudes = ControlAmplitudes.uniform(m)
 
     rng = np.random.default_rng(seed)
@@ -258,7 +260,6 @@ def run_verify_case(
         kraus_residual=kraus_residual,
         chi_analytic=chi_analytic,
         chi_oracle=chi_oracle,
-        passed=(not failed) if fully_cyclic else None,
         status=status,
         wall_time_s=time.perf_counter() - started,
     )
@@ -269,18 +270,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not (math.isfinite(tol) and tol > 0):
             raise DomainError(f"{flag} must be a positive finite number, got {tol!r}")
     perms = parse_permutations(args.perms) if args.perms else None
+    bases = [weyl_basis(d) for d in parse_int_list(args.dim)]
     if args.mode == "explicit":
-        if perms is None:
-            raise DomainError("explicit mode needs --perms")
-        order_sets = [OrderSet(orders=perms)]
+        if perms is None or args.channels is not None:
+            raise DomainError("explicit mode needs --perms and takes no --channels")
+        shapes = [(len(perms[0]), len(perms))]
+        build = lambda n: OrderSet(orders=perms)
     else:
+        channels = parse_int_list("2" if args.channels is None else args.channels)
+        shapes = [(n, order_count(n, args.mode)) for n in channels]
         build = cyclic_orders if args.mode == "cyclic" else all_orders
-        order_sets = [build(n) for n in parse_int_list(args.channels)]
-    dims = parse_int_list(args.dim)
+    # Every case meets the byte budget before any order set is built:
+    # cyclic_orders(N) alone holds N^2 integers.
+    for (n, m), basis in itertools.product(shapes, bases):
+        check_size_guard(n, m, basis.dim)
+    order_sets = [build(n) for n, _ in shapes]
     reports = [
-        run_verify_case(orders, args.mode, d, args.tol, args.chi_tol, args.samples, args.seed)
+        run_verify_case(orders, args.mode, basis, args.tol, args.chi_tol, args.samples, args.seed)
         for orders in order_sets
-        for d in dims
+        for basis in bases
     ]
     rows = [dataclasses.asdict(r) for r in reports]
     print(_json_document(rows, args.seed))
@@ -323,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_grid)
 
     verify = sub.add_parser("verify", help="brute-force versus closed-form check")
-    verify.add_argument("--channels", default="2", help="channel counts, e.g. 2,3")
+    verify.add_argument(
+        "--channels", default=None, help="channel counts for cyclic and all modes (default 2)"
+    )
     verify.add_argument("--dim", default="2", help="target dimensions, e.g. 2,3")
     verify.add_argument("--mode", choices=("cyclic", "all", "explicit"), default="cyclic")
     verify.add_argument("--perms", default=None, help="explicit orders, e.g. 0,1,2;1,0,2")

@@ -30,7 +30,7 @@ class DimensionOutOfRangeError(SwitchCapError, ValueError):
 
 
 class SizeGuardError(SwitchCapError):
-    """A brute-force computation would exceed the operation budget."""
+    """A brute-force computation would exceed the byte budget."""
 
 
 class DomainError(SwitchCapError, ValueError):

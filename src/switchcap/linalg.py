@@ -34,15 +34,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices.
-
-    Block (i, j) of the result equals ``a[i, j] * b``, so the output has
-    shape ``(a.rows * b.rows, a.cols * b.cols)``.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted in descending order.
 

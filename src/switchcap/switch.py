@@ -13,7 +13,7 @@ summed over the M orders l.  The joint output on (control (x) target) is the
 Kraus sum over all d^(2N) index tuples.  It is linear in the target state
 rho, so the simulator contracts the tuple sum once into a superoperator S
 with S @ vec(rho) = vec of the output before amplitude scaling, and takes
-every output, cross term and sampled rate from S.  Everything is summed in a
+every output block and sampled rate from S.  Everything is summed in a
 fixed deterministic sequence, so results are bit-stable.
 """
 
@@ -129,16 +129,24 @@ class SwitchOutput:
         d = self.dim
         return self.state[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
-    @property
-    def control_blocks(self) -> list[list[np.ndarray]]:
-        m = self.m_orders
-        return [[self.block(i, j) for j in range(m)] for i in range(m)]
+
+def order_count(n_channels: int, mode: str) -> int:
+    """M of the ``cyclic`` or ``all`` order set over N channels, without building it."""
+    if n_channels < 2:
+        raise DomainError(f"need at least two channels, got {n_channels}")
+    if mode == "cyclic":
+        return n_channels
+    if n_channels > MAX_FACTORIAL_CHANNELS:
+        raise SizeGuardError(
+            f"{n_channels}! orders exceeds the enumeration guard "
+            f"(max {MAX_FACTORIAL_CHANNELS} channels)"
+        )
+    return math.factorial(n_channels)
 
 
 def cyclic_orders(n_channels: int) -> OrderSet:
     """The N cyclic shifts of (0, 1, ..., N-1), identity first."""
-    if n_channels < 2:
-        raise DomainError(f"need at least two channels, got {n_channels}")
+    order_count(n_channels, "cyclic")
     orders = tuple(
         tuple((shift + i) % n_channels for i in range(n_channels))
         for shift in range(n_channels)
@@ -148,13 +156,7 @@ def cyclic_orders(n_channels: int) -> OrderSet:
 
 def all_orders(n_channels: int) -> OrderSet:
     """All N! permutations in lexicographic order."""
-    if n_channels < 2:
-        raise DomainError(f"need at least two channels, got {n_channels}")
-    if n_channels > MAX_FACTORIAL_CHANNELS:
-        raise SizeGuardError(
-            f"{n_channels}! orders exceeds the enumeration guard "
-            f"(max {MAX_FACTORIAL_CHANNELS} channels)"
-        )
+    order_count(n_channels, "all")
     return OrderSet(orders=tuple(itertools.permutations(range(n_channels))))
 
 
@@ -166,19 +168,22 @@ def cyclically_related(a: Permutation, b: Permutation) -> bool:
     return any(tuple(a[(i + k) % n] for i in range(n)) == tuple(b) for k in range(n))
 
 
-def check_size_guard(orders: OrderSet, dim: int) -> None:
+def check_size_guard(n_channels: int, m_orders: int, dim: int) -> None:
     """Reject brute-force requests whose arrays exceed the byte budget.
 
     A request holds d^(2N) complex Kraus operators of (M*d)^2 entries and
-    the order products behind them, M*d^2 entries per index tuple.
+    the order products behind them, M*d^2 entries per index tuple.  The
+    estimate is taken as a base-10 logarithm, so it stays a small float for
+    any N, d and M of at least 1.
     """
-    m = orders.m_orders
-    n = orders.n_channels
-    size = dim ** (2 * n) * ((m * dim) ** 2 + m * dim * dim) * 16
-    if size > BYTE_BUDGET:
+    entries = (m_orders * dim) ** 2 + m_orders * dim * dim
+    log_size = 2 * n_channels * math.log10(dim) + math.log10(entries * 16)
+    if log_size > math.log10(BYTE_BUDGET):
+        exponent = math.floor(log_size)
         raise SizeGuardError(
-            f"N={n}, d={dim}, M={m} needs ~{size:.2e} bytes of Kraus operators "
-            f"and order products (budget {BYTE_BUDGET:.2e})"
+            f"N={n_channels}, d={dim}, M={m_orders} needs "
+            f"~{10 ** (log_size - exponent):.2f}e+{exponent:02d} bytes of Kraus "
+            f"operators and order products (budget {BYTE_BUDGET:.2e})"
         )
 
 
@@ -195,23 +200,25 @@ def check_oracle_size(orders: OrderSet, dim: int, n_samples: int) -> None:
         )
 
 
-def _tuple_indices(n_channels: int, basis_size: int) -> np.ndarray:
-    """All Kraus index tuples as an integer array of shape (basis_size^N, N)."""
-    return np.array(
-        list(itertools.product(range(basis_size), repeat=n_channels)), dtype=np.intp
-    )
-
-
 def _order_products(
-    order_list: Sequence[Permutation], basis: UnitaryBasis, tuples: np.ndarray
+    order_list: Sequence[Permutation], basis: UnitaryBasis, n_channels: int
 ) -> np.ndarray:
-    """Per-tuple composed unitaries, shape (tuples, orders, d, d)."""
+    """Per-tuple composed unitaries, shape (d^(2N), M, d, d).
+
+    Tuples run row-major over the channels, the order ``itertools.product``
+    lists them.  Each order's products are broadcast one slot at a time, so
+    axis k indexes the basis element of slot ``order[k]``, then transposed
+    into channel order.
+    """
+    check_size_guard(n_channels, len(order_list), basis.dim)
+    d = basis.dim
     stacked = []
     for order in order_list:
-        prod = basis.ops[tuples[:, order[0]]]
-        for slot in order[1:]:
-            prod = prod @ basis.ops[tuples[:, slot]]
-        stacked.append(prod)
+        prod = basis.ops
+        for _ in order[1:]:
+            prod = prod[..., None, :, :] @ basis.ops
+        prod = prod.transpose(*np.argsort(order), n_channels, n_channels + 1)
+        stacked.append(prod.reshape(-1, d, d))
     return np.stack(stacked, axis=1)
 
 
@@ -227,10 +234,10 @@ def _switch_map(
     """
     d = basis.dim
     m = len(order_list)
-    tuples = _tuple_indices(n_channels, d * d)
-    flat = _order_products(order_list, basis, tuples).reshape(len(tuples), m * d * d)
+    products = _order_products(order_list, basis, n_channels)
+    flat = products.reshape(len(products), m * d * d)
     gram = flat.T @ flat.conj()
-    gram /= float(d ** (2 * n_channels))
+    gram /= float(len(products))
     return gram.reshape(m, d, d, m, d, d).transpose(0, 1, 3, 4, 2, 5).reshape(
         (m * d) ** 2, d * d
     )
@@ -254,13 +261,11 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> list[np.ndarray
     to the basis unitaries for tuple t composed in the l-th causal order,
     scaled by 1/d^N overall.
     """
-    check_size_guard(orders, basis.dim)
     d = basis.dim
     n = orders.n_channels
     m = orders.m_orders
-    tuples = _tuple_indices(n, d * d)
-    products = _order_products(orders.orders, basis, tuples)
-    kraus = np.zeros((len(tuples), m * d, m * d), dtype=complex)
+    products = _order_products(orders.orders, basis, n)
+    kraus = np.zeros((len(products), m * d, m * d), dtype=complex)
     for l in range(m):
         kraus[:, l * d : (l + 1) * d, l * d : (l + 1) * d] = products[:, l]
     kraus /= float(d**n)
@@ -270,7 +275,7 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> list[np.ndarray
 def apply_switch(
     orders: OrderSet,
     basis: UnitaryBasis,
-    amplitudes: ControlAmplitudes | Sequence[float],
+    amplitudes: ControlAmplitudes,
     rho: np.ndarray,
 ) -> SwitchOutput:
     """Exact Kraus-sum output of the switch on (sum_i c_i |i>) control.
@@ -279,8 +284,6 @@ def apply_switch(
     result satisfies the density-matrix invariants by construction and is
     validated before being returned.
     """
-    if not isinstance(amplitudes, ControlAmplitudes):
-        amplitudes = ControlAmplitudes(values=tuple(float(v) for v in amplitudes))
     rho = np.asarray(rho, dtype=complex)
     d = basis.dim
     if rho.shape != (d, d):
@@ -291,34 +294,9 @@ def apply_switch(
         raise DimensionMismatchError(
             f"{len(amplitudes)} amplitudes for {orders.m_orders} orders"
         )
-    check_size_guard(orders, d)
     switch_map = _switch_map(orders.orders, basis, orders.n_channels)
     (state,) = _output_states(switch_map, amplitudes.as_array(), rho[None])
     return SwitchOutput(m_orders=orders.m_orders, dim=d, state=state)
-
-
-def cross_term(
-    orders: OrderSet, basis: UnitaryBasis, i: int, j: int, rho: np.ndarray
-) -> np.ndarray:
-    """Raw (i, j) control block before amplitude scaling.
-
-    Returns (1/d^2N) sum over index tuples of P_i(t) rho P_j(t)^dagger.  For
-    cyclically related orders this collapses to rho / d^2; other pairs are
-    summed faithfully and simply reported, whatever their structure.
-    """
-    m = orders.m_orders
-    if i == j or not (0 <= i < m and 0 <= j < m):
-        raise DomainError(f"need two distinct block indices below {m}, got ({i}, {j})")
-    rho = np.asarray(rho, dtype=complex)
-    d = basis.dim
-    if rho.shape != (d, d):
-        raise DimensionMismatchError(
-            f"target state has shape {rho.shape}, basis dimension is {d}"
-        )
-    check_size_guard(orders, d)
-    pair_map = _switch_map([orders.orders[i], orders.orders[j]], basis, orders.n_channels)
-    rows = pair_map.reshape(2, d, 2, d, d * d)[0, :, 1]
-    return rows @ rho.ravel()
 
 
 def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -355,7 +333,6 @@ def holevo_oracle(
     """
     d = basis.dim
     check_oracle_size(orders, d, n_samples)
-    check_size_guard(orders, d)
     switch_map = _switch_map(orders.orders, basis, orders.n_channels)
     amplitudes = ControlAmplitudes.uniform(orders.m_orders).as_array()
 

@@ -17,6 +17,9 @@ from switchcap.errors import (
 )
 from switchcap.switch import MAX_ORACLE_SAMPLES, all_orders, cyclically_related
 
+# Two orders of 520 channels, forward and reversed, as --perms takes them.
+WIDE_PAIR = ";".join(",".join(map(str, order)) for order in (range(520), range(519, -1, -1)))
+
 PRINTED_RATES = [
     "0.0488",
     "0.0817",
@@ -199,7 +202,7 @@ class TestVerify:
         assert main(["verify", "--channels", "2", "--dim", "2", "--mode", "cyclic"]) == 0
         doc = json.loads(capsys.readouterr().out)
         (row,) = doc["rows"]
-        assert row["passed"] is True
+        assert "passed" not in row
         assert row["status"] == "pass"
         assert row["max_block_residual"] < 1e-12
         assert row["kraus_residual"] < 1e-12
@@ -214,14 +217,13 @@ class TestVerify:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["rows"]) == 4
-        assert all(r["passed"] for r in doc["rows"])
+        assert all(r["status"] == "pass" for r in doc["rows"])
 
     def test_all_orders_three_channels_is_informational(self, capsys):
         assert main(["verify", "--channels", "3", "--dim", "2", "--mode", "all"]) == 0
         doc = json.loads(capsys.readouterr().out)
         (row,) = doc["rows"]
         assert row["status"] == "divergent-block"
-        assert row["passed"] is None
         # cyclically related pairs still reproduce the closed form
         assert row["max_block_residual"] < 1e-12
         assert row["kraus_residual"] < 1e-12
@@ -250,7 +252,7 @@ class TestVerify:
         )
         assert code == 0
         (row,) = json.loads(capsys.readouterr().out)["rows"]
-        assert row["passed"] is True
+        assert row["status"] == "pass"
         assert row["chi_analytic"] == pytest.approx(holevo(2, 2).chi, abs=1e-12)
         assert abs(row["chi_analytic"] - row["chi_oracle"]) < 1e-6
 
@@ -261,7 +263,6 @@ class TestVerify:
         assert code == 0
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert row["status"] == "divergent-block"
-        assert row["passed"] is None
         assert {(p["i"], p["j"]) for p in row["divergent_pairs"]} == {(0, 1), (1, 0)}
 
     @pytest.mark.parametrize("flag", ["--tol", "--chi-tol"])
@@ -305,6 +306,7 @@ class TestVerify:
             ["--mode", "cyclic", "--perms", "x"],  # --perms is parsed in every mode
             ["--mode", "explicit", "--perms", "0,0"],
             ["--channels", "1"],
+            ["--mode", "explicit", "--perms", "0,1", "--channels", "9"],
         ],
     )
     def test_bad_order_set_is_argument_error(self, capsys, argv):
@@ -315,7 +317,15 @@ class TestVerify:
         self._size_guard(capsys, monkeypatch, ["--channels", "4", "--dim", "3", "--mode", "all"])
 
     @pytest.mark.parametrize(
-        "argv", [["--channels", "2,6", "--mode", "all"], ["--channels", "2", "--dim", "16"]]
+        "argv",
+        [
+            ["--channels", "2,6", "--mode", "all"],
+            ["--channels", "2", "--dim", "16"],
+            ["--channels", "80"],
+            ["--channels", "100000"],  # cyclic_orders would hold 10^10 integers
+            # 4^520 bytes is past the largest float: the estimate must not overflow
+            ["--mode", "explicit", "--perms", WIDE_PAIR],
+        ],
     )
     def test_size_guard_before_building(self, capsys, monkeypatch, argv):
         self._size_guard(capsys, monkeypatch, argv)
@@ -323,13 +333,17 @@ class TestVerify:
     @staticmethod
     def _size_guard(capsys, monkeypatch, argv):
         def never(*args, **kwargs):
-            raise AssertionError("a switch map was built")
+            raise AssertionError("an order set or a switch map was built")
 
+        for name in ("cyclic_orders", "all_orders", "cyclically_related"):
+            monkeypatch.setattr(f"switchcap.cli.{name}", never)
         monkeypatch.setattr("switchcap.switch._switch_map", never)
         started = time.perf_counter()
         assert main(["verify", *argv]) == 4
         assert time.perf_counter() - started < 1.0
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("switchcap: size guard: ")
 
     @pytest.mark.parametrize(
         "error", [NoConvergenceError, NotHermitianError, InvalidSpectrumError, InvalidStateError]

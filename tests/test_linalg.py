@@ -14,51 +14,14 @@ from switchcap.linalg import (
     dagger,
     hermitian_spectrum,
     partial_trace,
-    tensor,
     validate_density_matrix,
     von_neumann_entropy,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # -sum(p log2 p) for {5/8, 3/8}, evaluated with 40-digit arithmetic.
 ENTROPY_5_8 = 0.95443400292496496
-
-
-def kron_oracle(a, b):
-    """Elementwise Kronecker product straight from the definition."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
-
-class TestTensor:
-    def test_identity_times_identity(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projector_times_identity(self):
-        got = tensor(np.diag([1.0, 0.0]), np.eye(2))
-        assert np.array_equal(got, np.diag([1.0, 1.0, 0.0, 0.0]))
-
-    def test_pauli_pair_matches_elementwise_definition(self):
-        got = tensor(PAULI_X, PAULI_Z)
-        assert np.array_equal(got, kron_oracle(PAULI_X, PAULI_Z))
-        # antidiagonal blocks carrying +/-1 entries only
-        assert set(np.unique(got.real)) == {-1.0, 0.0, 1.0}
-
-    def test_associative_on_integer_matrices(self):
-        rng = np.random.default_rng(11)
-        a = rng.integers(-3, 4, size=(2, 3)).astype(complex)
-        b = rng.integers(-3, 4, size=(3, 2)).astype(complex)
-        c = rng.integers(-3, 4, size=(2, 2)).astype(complex)
-        assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
 
 
 class TestHermitianSpectrum:
@@ -173,7 +136,7 @@ class TestPartialTrace:
     def test_product_state_recovers_factor(self):
         rho_a = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
         rho_b = np.array([[0.5, 0.2], [0.2, 0.5]])
-        joint = tensor(rho_a, rho_b)
+        joint = np.kron(rho_a, rho_b)
         assert np.abs(partial_trace(joint, 2, 2, "A") - rho_a).max() < 1e-14
         assert np.abs(partial_trace(joint, 2, 2, "B") - rho_b).max() < 1e-14
 
@@ -186,7 +149,7 @@ class TestPartialTrace:
             rho_a /= np.trace(rho_a).real
             rho_b = b @ dagger(b)
             rho_b /= np.trace(rho_b).real
-            joint = tensor(rho_a, rho_b)
+            joint = np.kron(rho_a, rho_b)
             assert np.abs(partial_trace(joint, da, db, "A") - rho_a).max() < 1e-12
             assert np.abs(partial_trace(joint, da, db, "B") - rho_b).max() < 1e-12
 

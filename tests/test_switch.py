@@ -18,7 +18,6 @@ from switchcap.switch import (
     build_switch_kraus,
     check_oracle_size,
     check_size_guard,
-    cross_term,
     cyclic_orders,
     cyclically_related,
     haar_random_state,
@@ -115,6 +114,32 @@ class TestBuildSwitchKraus:
             expected[2:, 2:] = basis.ops[j] @ basis.ops[i] / 4
             assert np.abs(kraus[idx] - expected).max() < 1e-14
 
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            OrderSet(orders=((0, 1, 2), (1, 0, 2), (2, 1, 0))),
+            # (1, 3, 0, 2) is not its own inverse, so composing an order's
+            # inverse in its place cannot pass
+            OrderSet(orders=((0, 1, 2, 3), (1, 3, 0, 2))),
+        ],
+        ids=["n3-involutions", "n4-pair"],
+    )
+    def test_tuple_order_for_any_orders(self, orders):
+        # tuple t labels operator t in itertools.product order
+        basis = weyl_basis(2)
+        n, m = orders.n_channels, orders.m_orders
+        kraus = build_switch_kraus(orders, basis)
+        tuples = list(itertools.product(range(4), repeat=n))
+        assert len(kraus) == len(tuples)
+        for k, t in zip(kraus, tuples):
+            expected = np.zeros((2 * m, 2 * m), dtype=complex)
+            for l, order in enumerate(orders.orders):
+                prod = np.eye(2, dtype=complex)
+                for slot in order:
+                    prod = prod @ basis.ops[t[slot]]
+                expected[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] = prod / 2**n
+            assert np.abs(k - expected).max() < 1e-14
+
     def test_three_channel_completeness(self):
         from switchcap.channels import check_completeness
 
@@ -125,7 +150,7 @@ class TestBuildSwitchKraus:
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
-            check_size_guard(all_orders(4), 3)
+            check_size_guard(4, 24, 3)
         with pytest.raises(SizeGuardError):
             build_switch_kraus(all_orders(4), weyl_basis(3))
 
@@ -146,10 +171,10 @@ class TestBuildSwitchKraus:
         # Kraus stack plus order products: d^(2N) ((M d)^2 + M d^2) complex entries.
         orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
         if admitted:
-            check_size_guard(orders, dim)
+            check_size_guard(orders.n_channels, orders.m_orders, dim)
         else:
             with pytest.raises(SizeGuardError, match="bytes"):
-                check_size_guard(orders, dim)
+                check_size_guard(orders.n_channels, orders.m_orders, dim)
 
 
 class TestApplySwitch:
@@ -220,24 +245,14 @@ class TestApplySwitch:
         basis = weyl_basis(2)
         orders = cyclic_orders(3)
         c = (0.6, 0.48, np.sqrt(1 - 0.36 - 0.2304))
-        out = apply_switch(orders, basis, c, np.diag([1.0, 0.0]))
+        out = apply_switch(orders, basis, ControlAmplitudes(values=c), np.diag([1.0, 0.0]))
         perm = [2, 0, 1]
         shuffled_orders = OrderSet(orders=tuple(orders.orders[p] for p in perm))
-        shuffled_c = tuple(c[p] for p in perm)
+        shuffled_c = ControlAmplitudes(values=tuple(c[p] for p in perm))
         shuffled = apply_switch(shuffled_orders, basis, shuffled_c, np.diag([1.0, 0.0]))
         for i in range(3):
             for j in range(3):
                 assert np.abs(shuffled.block(i, j) - out.block(perm[i], perm[j])).max() < 1e-14
-
-    def test_control_blocks_grid_matches_views(self):
-        basis = weyl_basis(2)
-        out = apply_switch(
-            cyclic_orders(2), basis, ControlAmplitudes.uniform(2), np.eye(2) / 2
-        )
-        grid = out.control_blocks
-        for i in range(2):
-            for j in range(2):
-                assert np.array_equal(grid[i][j], out.state[i * 2 : (i + 1) * 2, j * 2 : (j + 1) * 2])
 
     def test_dimension_checks(self):
         basis = weyl_basis(2)
@@ -249,7 +264,7 @@ class TestApplySwitch:
 
 def kraus_sum_output(orders, basis, amplitudes, rho):
     """sum_t K_t (c c^T (x) rho) K_t^dagger over the literal switch Kraus operators."""
-    c = np.asarray(amplitudes, dtype=float)
+    c = amplitudes.as_array()
     joint = np.kron(np.outer(c, c), rho)
     kraus = np.stack(build_switch_kraus(orders, basis))
     return (kraus @ joint @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
@@ -272,11 +287,20 @@ class TestSwitchMapAgainstKrausSum:
     def test_full_state_matches_literal_kraus_sum(self, orders, d, amplitudes):
         basis = weyl_basis(d)
         if amplitudes is None:
-            amplitudes = ControlAmplitudes.uniform(orders.m_orders).values
+            amplitudes = ControlAmplitudes.uniform(orders.m_orders)
+        else:
+            amplitudes = ControlAmplitudes(values=amplitudes)
         rho = random_density_matrix(d, np.random.default_rng(orders.m_orders + d))
         out = apply_switch(orders, basis, amplitudes, rho)
         expected = kraus_sum_output(orders, basis, amplitudes, rho)
         assert np.abs(out.state - expected).max() < 1e-14
+
+
+def raw_block(orders, basis, i, j, rho):
+    """The (i, j) block of the switch output before amplitude scaling."""
+    c = ControlAmplitudes.uniform(orders.m_orders)
+    out = apply_switch(orders, basis, c, rho)
+    return out.block(i, j) / (c.values[i] * c.values[j])
 
 
 class TestCrossTerm:
@@ -284,13 +308,13 @@ class TestCrossTerm:
     def test_two_channels_gives_scaled_state(self, d):
         basis = weyl_basis(d)
         rho = random_density_matrix(d, np.random.default_rng(d))
-        blk = cross_term(cyclic_orders(2), basis, 0, 1, rho)
+        blk = raw_block(cyclic_orders(2), basis, 0, 1, rho)
         assert np.abs(blk - rho / d**2).max() < 1e-13
 
     def test_three_channel_cyclic_pair(self):
         basis = weyl_basis(2)
         rho = random_density_matrix(2, np.random.default_rng(12))
-        blk = cross_term(cyclic_orders(3), basis, 0, 1, rho)
+        blk = raw_block(cyclic_orders(3), basis, 0, 1, rho)
         assert np.abs(blk - rho / 4).max() < 1e-13
 
     def test_non_cyclic_pair_measured_structure(self):
@@ -299,15 +323,19 @@ class TestCrossTerm:
         basis = weyl_basis(2)
         rho = random_density_matrix(2, np.random.default_rng(13))
         orders = OrderSet(orders=((0, 1, 2), (1, 0, 2)))
-        blk = cross_term(orders, basis, 0, 1, rho)
+        blk = raw_block(orders, basis, 0, 1, rho)
         oracle = naive_cross_block((0, 1, 2), (1, 0, 2), basis, rho)
         assert np.abs(blk - oracle).max() < 1e-13
         assert np.abs(blk - np.eye(2) / 8).max() < 1e-12
         assert np.abs(blk - rho / 4).max() > 1e-3
 
-    def test_rejects_equal_indices(self):
-        with pytest.raises(DomainError):
-            cross_term(cyclic_orders(2), weyl_basis(2), 1, 1, np.eye(2) / 2)
+    def test_four_channel_non_cyclic_pair_matches_naive_sum(self):
+        basis = weyl_basis(2)
+        rho = random_density_matrix(2, np.random.default_rng(14))
+        orders = OrderSet(orders=((0, 1, 2, 3), (1, 3, 0, 2)))
+        blk = raw_block(orders, basis, 0, 1, rho)
+        oracle = naive_cross_block((0, 1, 2, 3), (1, 3, 0, 2), basis, rho)
+        assert np.abs(blk - oracle).max() < 1e-13
 
 
 class TestHolevoOracle:
