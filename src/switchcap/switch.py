@@ -206,20 +206,21 @@ def _order_products(
     """Per-tuple composed unitaries, shape (d^(2N), M, d, d).
 
     Tuples run row-major over the channels, the order ``itertools.product``
-    lists them.  Each order's products are broadcast one slot at a time, so
-    axis k indexes the basis element of slot ``order[k]``, then transposed
-    into channel order.
+    lists them.  The chain of products U_a0 U_a1 ... U_a(N-1), axis k for
+    factor k, is broadcast once; an order puts channel ``order[k]`` in
+    factor k, so its stack is the chain transposed into channel order.
     """
-    check_size_guard(n_channels, len(order_list), basis.dim)
+    m = len(order_list)
+    check_size_guard(n_channels, m, basis.dim)
     d = basis.dim
-    stacked = []
-    for order in order_list:
-        prod = basis.ops
-        for _ in order[1:]:
-            prod = prod[..., None, :, :] @ basis.ops
-        prod = prod.transpose(*np.argsort(order), n_channels, n_channels + 1)
-        stacked.append(prod.reshape(-1, d, d))
-    return np.stack(stacked, axis=1)
+    chain = basis.ops
+    for _ in range(n_channels - 1):
+        chain = chain[..., None, :, :] @ basis.ops
+    products = np.empty((d ** (2 * n_channels), m, d, d), dtype=chain.dtype)
+    by_channel = products.reshape(chain.shape[:-2] + (m, d, d))
+    for l, order in enumerate(order_list):
+        by_channel[..., l, :, :] = chain.transpose(*np.argsort(order), n_channels, n_channels + 1)
+    return products
 
 
 def _switch_map(
@@ -324,12 +325,13 @@ def holevo_oracle(
     output entropy over the sample set, using uniform control amplitudes.
     The sample set always contains the d computational basis states, then
     ``n_samples - d`` Haar-random pure states drawn from the seeded
-    generator; for cyclic order sets the minimum is attained at pure basis
-    states, so the bound is tight there.  Adding samples can only lower the
-    reported minimum, never raise it.  A sample count outside
-    [1, MAX_ORACLE_SAMPLES] raises DomainError, and one whose output states
-    exceed BYTE_BUDGET bytes raises SizeGuardError, before any
-    state is drawn.
+    generator.  Under the Weyl basis every output block is a multiple of
+    rho or of Tr(rho) I for any order set, so every pure input has the same
+    output entropy and the value is exact, whatever the sample count; with
+    another basis, adding samples can only lower the reported minimum.  A
+    sample count outside [1, MAX_ORACLE_SAMPLES] raises DomainError, and one
+    whose output states exceed BYTE_BUDGET bytes raises SizeGuardError,
+    before any state is drawn.
     """
     d = basis.dim
     check_oracle_size(orders, d, n_samples)

@@ -285,17 +285,29 @@ class TestVerify:
         assert main(["verify", "--channels", "2", "--samples", str(samples)]) == 2
         assert time.perf_counter() - started < 1.0
 
-    def test_sample_stack_over_budget_is_size_guard(self, capsys, monkeypatch):
-        # In the sample cap, but 50 001 states of 48 x 48 would take ~1.8 GB.
-        def never(*args, **kwargs):
-            raise AssertionError("a sample was drawn")
+    @pytest.mark.parametrize("argv", [["--tol", "1e-8"], ["--chi-tol", "1e-3"], ["--samples", "8"]])
+    def test_verify_tuning_flags_are_gone(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        assert capsys.readouterr().out == ""
 
-        monkeypatch.setattr("switchcap.switch.haar_random_state", never)
-        argv = ["verify", "--channels", "4", "--mode", "all", "--samples", "50000"]
-        assert main(argv) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "bytes of output states" in captured.err
+    def test_incomplete_kraus_set_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr("switchcap.cli.check_completeness", lambda kraus: 1e-9)
+        assert main(["verify", "--channels", "2"]) == 1
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["kraus_residual"] == 1e-9
+        assert row["status"] == "fail"
+
+    @pytest.mark.parametrize(
+        "argv, cases",
+        [
+            (["--channels", "2,2", "--dim", "2,2"], [(2, 2)]),
+            (["--channels", "3,2,3", "--dim", "3,2"], [(3, 3), (3, 2), (2, 3), (2, 2)]),
+        ],
+    )
+    def test_repeated_cases_run_once(self, capsys, argv, cases):
+        assert main(["verify", *argv]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r["n_channels"], r["dim"]) for r in rows] == cases
 
     def test_explicit_mode_requires_perms(self, capsys):
         assert main(["verify", "--mode", "explicit", "--dim", "2"]) == 2
@@ -303,10 +315,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--mode", "cyclic", "--perms", "x"],  # --perms is parsed in every mode
+            ["--mode", "cyclic", "--perms", "x"],
             ["--mode", "explicit", "--perms", "0,0"],
             ["--channels", "1"],
             ["--mode", "explicit", "--perms", "0,1", "--channels", "9"],
+            ["--mode", "cyclic", "--perms", "0,1,2;1,0,2"],
         ],
     )
     def test_bad_order_set_is_argument_error(self, capsys, argv):
