@@ -9,12 +9,11 @@ cross-term behavior reproducible in regression tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DimensionMismatchError, DimensionOutOfRangeError
-from .linalg import dagger
 
 MIN_DIM = 2
 MAX_DIM = 16
@@ -78,22 +77,28 @@ def depolarize(basis: UnitaryBasis, rho: np.ndarray) -> np.ndarray:
     return np.einsum("kij,jl,kml->im", basis.ops, rho, basis.ops.conj()) / (d * d)
 
 
-def check_completeness(kraus: Iterable[np.ndarray]) -> float:
+def check_completeness(kraus: ArrayLike) -> float:
     """Max-norm residual of the trace-preservation condition.
 
+    ``kraus`` is a stack of K operators, anything that converts to a
+    complex array of shape (K, n, n), such as a list of n x n matrices.
     Returns ``max |sum_i K_i^dagger K_i - I|`` over matrix entries.  A value
     below ~1e-12 certifies the operators form a valid channel.
     """
-    operators = [np.asarray(k, dtype=complex) for k in kraus]
-    if not operators:
+    try:
+        ops = np.ascontiguousarray(kraus, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"Kraus operators must share a square shape: {exc}") from exc
+    if ops.size == 0:
         raise ValueError("empty Kraus list")
-    dim = operators[0].shape[0]
-    for k in operators:
-        if k.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"Kraus operators must share a square shape, got {k.shape}"
-            )
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in operators:
-        acc += dagger(k) @ k
-    return float(np.abs(acc - np.eye(dim)).max())
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise DimensionMismatchError(
+            f"expected a (K, n, n) stack of Kraus operators, got shape {ops.shape}"
+        )
+    dim = ops.shape[1]
+    # Conjugating the stack would copy it, so the Gram product runs on its
+    # real view: column 2a of ``r`` is Re K[:, :, a] and column 2a+1 is Im.
+    r = ops.view(np.float64).reshape(-1, 2 * dim)
+    g = r.T @ r
+    total = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
+    return float(np.abs(total - np.eye(dim)).max())

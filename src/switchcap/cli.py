@@ -274,12 +274,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_limit(args: argparse.Namespace) -> int:
     dim = args.dim
-    if dim < 2:
-        raise DomainError(f"target dimension must be >= 2, got {dim}")
+    orders = (100, 10_000, 1_000_000)
+    _validate_grid((dim,), orders)
     limit = asymptotic_limit(dim)
     print(f"dim: {dim}")
     print(f"asymptotic_chi_bits: {limit:.12g}")
-    for m in (100, 10_000, 1_000_000):
+    for m in orders:
         print(f"m={m:<8d} chi_bits={holevo(m, dim).chi:.12g}")
     return 0
 

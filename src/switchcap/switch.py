@@ -174,8 +174,16 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> None:
     A request holds d^(2N) complex Kraus operators of (M*d)^2 entries and
     the order products behind them, M*d^2 entries per index tuple.  The
     estimate is taken as a base-10 logarithm, so it stays a small float for
-    any N, d and M of at least 1.
+    any d and M of at least 1.  An N so large that 2N log10(d) would
+    overflow a float is rejected first by an integer comparison: at d >= 2
+    the d^(2N) >= 2^(2N) operators alone pass the budget once 2N exceeds
+    the budget's bit length.
     """
+    if dim > 1 and 2 * n_channels > BYTE_BUDGET.bit_length():
+        raise SizeGuardError(
+            f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of Kraus "
+            f"operators (budget {BYTE_BUDGET:.2e})"
+        )
     entries = (m_orders * dim) ** 2 + m_orders * dim * dim
     log_size = 2 * n_channels * math.log10(dim) + math.log10(entries * 16)
     if log_size > math.log10(BYTE_BUDGET):
@@ -255,8 +263,8 @@ def _output_states(
     return raw.reshape(k, m * d, m * d)
 
 
-def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> list[np.ndarray]:
-    """The d^(2N) switch Kraus operators, each of shape (M*d, M*d).
+def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
+    """The d^(2N) switch Kraus operators as one stack, shape (d^(2N), M*d, M*d).
 
     Operator t is block-diagonal over the control index, with block l equal
     to the basis unitaries for tuple t composed in the l-th causal order,
@@ -266,11 +274,11 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> list[np.ndarray
     n = orders.n_channels
     m = orders.m_orders
     products = _order_products(orders.orders, basis, n)
+    products /= float(d**n)
     kraus = np.zeros((len(products), m * d, m * d), dtype=complex)
     for l in range(m):
         kraus[:, l * d : (l + 1) * d, l * d : (l + 1) * d] = products[:, l]
-    kraus /= float(d**n)
-    return list(kraus)
+    return kraus
 
 
 def apply_switch(

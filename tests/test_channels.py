@@ -1,5 +1,7 @@
 """Tests for the depolarizing channel and its unitary operator basis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,54 @@ class TestCheckCompleteness:
     def test_mixed_shapes_rejected(self):
         with pytest.raises(DimensionMismatchError):
             check_completeness([np.eye(2), np.eye(3)])
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            check_completeness(np.zeros((4, 2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(5, 3, 3), (40, 7, 7), (1, 12, 12)])
+    @pytest.mark.parametrize("family", ["random", "near-complete"])
+    def test_matches_literal_sum_on_complex_stacks(self, shape, family):
+        # Weyl stacks sum to a real matrix, so only complex, non-unitary
+        # operators exercise the imaginary part of the sum.
+        if family == "random":
+            ops = random_stack(shape, seed=sum(shape))
+        else:
+            ops = near_complete_stack(shape, seed=sum(shape))
+        literal = sum(k.conj().T @ k for k in ops) - np.eye(shape[1])
+        assert abs(check_completeness(ops) - np.abs(literal).max()) < 1e-12
+
+    def test_transposed_stack_matches_contiguous_copy(self):
+        ops = random_stack((20, 6, 6), seed=3).transpose(0, 2, 1)
+        assert not ops.flags.c_contiguous
+        assert check_completeness(ops) == check_completeness(np.ascontiguousarray(ops))
+
+    def test_memory_does_not_copy_the_stack(self):
+        ops = random_stack((16384, 8, 8), seed=5)
+        assert ops.nbytes == 16 * 2**20
+        tracemalloc.start()
+        try:
+            check_completeness(ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+def random_stack(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def near_complete_stack(shape, seed):
+    """(I + i eps R_k) / sqrt(K) for real R_k.
+
+    The residual matrix is i eps/K sum_k (R_k - R_k^T) + O(eps^2), so its
+    largest entry is imaginary, where a random stack's is on the diagonal.
+    """
+    k, n, _ = shape
+    r = np.random.default_rng(seed).standard_normal(shape)
+    return (np.eye(n) + 0.01j * r) / np.sqrt(k)
 
 
 def test_package_exports_resolve():

@@ -15,7 +15,7 @@ from switchcap.errors import (
     NoConvergenceError,
     NotHermitianError,
 )
-from switchcap.switch import MAX_ORACLE_SAMPLES, all_orders, cyclically_related
+from switchcap.switch import all_orders, cyclically_related
 
 # Two orders of 520 channels, forward and reversed, as --perms takes them.
 WIDE_PAIR = ";".join(",".join(map(str, order)) for order in (range(520), range(519, -1, -1)))
@@ -265,28 +265,12 @@ class TestVerify:
         assert row["status"] == "divergent-block"
         assert {(p["i"], p["j"]) for p in row["divergent_pairs"]} == {(0, 1), (1, 0)}
 
-    @pytest.mark.parametrize("flag", ["--tol", "--chi-tol"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-6"])
-    def test_bad_tolerance_is_argument_error(self, capsys, monkeypatch, flag, value):
+    @pytest.mark.parametrize("argv", [["--tol", "1e-8"], ["--chi-tol", "1e-3"], ["--samples", "8"]])
+    def test_verify_tuning_flags_are_gone(self, capsys, monkeypatch, argv):
         def never(*args, **kwargs):
             raise AssertionError("a case ran")
 
         monkeypatch.setattr("switchcap.cli.run_verify_case", never)
-        assert main(["verify", "--channels", "3", "--mode", "all", f"{flag}={value}"]) == 2
-        assert capsys.readouterr().out == ""
-
-    @pytest.mark.parametrize("samples", [0, MAX_ORACLE_SAMPLES + 1, 10**15])
-    def test_samples_out_of_range_rejected_before_allocating(self, capsys, monkeypatch, samples):
-        def never(*args, **kwargs):
-            raise AssertionError("a sample was drawn")
-
-        monkeypatch.setattr("switchcap.switch.haar_random_state", never)
-        started = time.perf_counter()
-        assert main(["verify", "--channels", "2", "--samples", str(samples)]) == 2
-        assert time.perf_counter() - started < 1.0
-
-    @pytest.mark.parametrize("argv", [["--tol", "1e-8"], ["--chi-tol", "1e-3"], ["--samples", "8"]])
-    def test_verify_tuning_flags_are_gone(self, capsys, argv):
         assert main(["verify", *argv]) == 2
         assert capsys.readouterr().out == ""
 
@@ -338,6 +322,8 @@ class TestVerify:
             ["--channels", "100000"],  # cyclic_orders would hold 10^10 integers
             # 4^520 bytes is past the largest float: the estimate must not overflow
             ["--mode", "explicit", "--perms", WIDE_PAIR],
+            # 2N log10(d) would overflow a float: N is compared as an integer first
+            ["--channels", str(10**400)],
         ],
     )
     def test_size_guard_before_building(self, capsys, monkeypatch, argv):
@@ -394,6 +380,15 @@ class TestLimit:
     def test_rejects_dimension_below_two(self, capsys):
         assert main(["limit", "--dim", "1"]) == 2
 
+    def test_dimension_range_matches_the_grid(self, capsys):
+        # --dim 10000000 printed a negative rate before it was range-checked
+        assert main(["limit", "--dim", "64"]) == 0
+        capsys.readouterr()
+        assert main(["limit", "--dim", "65"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "switchcap: invalid arguments: dimension 65 outside [2, 64]\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -405,6 +400,43 @@ class TestLimit:
 )
 def test_jobs_flag_is_gone(capsys, argv):
     assert main(argv) == 2
+
+
+ABSURD_INTEGERS = {
+    "0": "0",
+    "1": "1",
+    "-1": "-1",
+    "65": "65",
+    "10**400": str(10**400),
+    "-10**400": str(-(10**400)),
+    "2..1": "2..1",
+    "1..10**400": f"1..{10**400}",
+    "a": "a",
+    "empty": "",
+    "2.5": "2.5",
+    "1e3": "1e3",
+}
+INTEGER_FLAGS = [
+    ["table", "--dims"],
+    ["table", "--orders"],
+    ["table", "--seed"],
+    ["sweep", "--dims=2", "--orders"],
+    ["sweep", "--orders=2", "--dims"],
+    ["sweep", "--dims=2", "--orders=2", "--seed"],
+    ["verify", "--channels"],
+    ["verify", "--mode=all", "--channels"],
+    ["verify", "--dim"],
+    ["verify", "--seed"],
+    ["verify", "--mode=explicit", "--perms"],
+    ["limit", "--dim"],
+]
+
+
+@pytest.mark.parametrize("value", ABSURD_INTEGERS.values(), ids=ABSURD_INTEGERS.keys())
+@pytest.mark.parametrize("flag", INTEGER_FLAGS, ids="".join)
+def test_absurd_integer_is_an_exit_code(capsys, flag, value):
+    *argv, name = flag
+    assert main([*argv, f"{name}={value}"]) in range(6)
 
 
 def test_version_flag(capsys):

@@ -140,6 +140,23 @@ class TestBuildSwitchKraus:
                 expected[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] = prod / 2**n
             assert np.abs(k - expected).max() < 1e-14
 
+    @pytest.mark.parametrize(
+        ("orders", "d"),
+        [
+            (cyclic_orders(2), 2),
+            (all_orders(3), 3),
+            (OrderSet(orders=((0, 1, 2, 3), (1, 3, 0, 2))), 2),
+        ],
+        ids=["cyclic2-d2", "all3-d3", "n4-pair-d2"],
+    )
+    def test_returns_one_writable_stack(self, orders, d):
+        kraus = build_switch_kraus(orders, weyl_basis(d))
+        n, m = orders.n_channels, orders.m_orders
+        assert isinstance(kraus, np.ndarray)
+        assert kraus.shape == (d ** (2 * n), m * d, m * d)
+        assert kraus.dtype == complex
+        assert kraus.flags.writeable
+
     def test_three_channel_completeness(self):
         from switchcap.channels import check_completeness
 
@@ -266,7 +283,7 @@ def kraus_sum_output(orders, basis, amplitudes, rho):
     """sum_t K_t (c c^T (x) rho) K_t^dagger over the literal switch Kraus operators."""
     c = amplitudes.as_array()
     joint = np.kron(np.outer(c, c), rho)
-    kraus = np.stack(build_switch_kraus(orders, basis))
+    kraus = build_switch_kraus(orders, basis)
     return (kraus @ joint @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
