@@ -33,7 +33,6 @@ from .errors import (
     SwitchCapError,
 )
 from .linalg import (
-    dagger,
     hermitian_spectrum,
     partial_trace,
     validate_density_matrix,
@@ -77,7 +76,6 @@ __all__ = [
     "control_entropy",
     "cyclic_orders",
     "cyclically_related",
-    "dagger",
     "depolarize",
     "det_factorization_residual",
     "haar_random_state",

@@ -29,11 +29,6 @@ DENSITY_PSD_TOL = 1e-10
 SPECTRUM_HERMITICITY_TOL = 1e-10
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
 def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted in descending order.
 
@@ -60,14 +55,14 @@ def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NotHermitianError("matrix has NaN or infinite entries")
-    asym = float(np.abs(a - dagger(a)).max()) if a.size else 0.0
+    asym = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
     if asym > SPECTRUM_HERMITICITY_TOL:
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by {asym:.3e} "
             f"(tolerance {SPECTRUM_HERMITICITY_TOL:.1e})"
         )
     trace = float(np.trace(a).real)
-    a = (a + dagger(a)) / 2.0
+    a = (a + a.conj().T) / 2.0
     try:
         values = np.linalg.eigvalsh(a)[::-1].copy()
     except np.linalg.LinAlgError as exc:
@@ -80,14 +75,13 @@ def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     return values
 
 
-def von_neumann_entropy(spectrum: np.ndarray) -> float:
-    """Entropy in bits, ``-sum(p * log2(p))`` with ``0 * log 0 == 0``.
+def validate_spectrum(values: np.ndarray) -> None:
+    """Raise unless ``values`` is a density-matrix spectrum.
 
-    The input must be a density-matrix spectrum: every value finite and in
-    ``[-1e-10, 1 + 1e-10]``, and total weight 1 within ``1e-8``.  Small
-    negative values from numerical jitter are clamped to zero.
+    That is: nonempty, every value finite and in ``[-1e-10, 1 + 1e-10]``,
+    and total weight 1 within ``1e-8``.
     """
-    values = np.asarray(spectrum, dtype=float).ravel()
+    values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise InvalidSpectrumError("empty spectrum")
     if not np.isfinite(values).all():
@@ -99,6 +93,16 @@ def von_neumann_entropy(spectrum: np.ndarray) -> float:
     total = float(values.sum())
     if abs(total - 1.0) > 1e-8:
         raise InvalidSpectrumError(f"spectrum sums to {total!r}, expected 1")
+
+
+def von_neumann_entropy(spectrum: np.ndarray) -> float:
+    """Entropy in bits, ``-sum(p * log2(p))`` with ``0 * log 0 == 0``.
+
+    The input must pass ``validate_spectrum``.  Small negative values from
+    numerical jitter are clamped to zero.
+    """
+    values = np.asarray(spectrum, dtype=float).ravel()
+    validate_spectrum(values)
     positive = np.clip(values, 0.0, None)
     positive = positive[positive > 0.0]
     return max(float(-(positive * np.log2(positive)).sum()), 0.0)
@@ -138,7 +142,7 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidStateError("state has NaN or infinite entries")
-    asym = float(np.abs(rho - dagger(rho)).max())
+    asym = float(np.abs(rho - rho.conj().T).max())
     if asym > DENSITY_HERMITICITY_TOL:
         raise InvalidStateError(f"not Hermitian: asymmetry {asym:.3e}")
     tr = complex(np.trace(rho))

@@ -172,25 +172,21 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> None:
     """Reject brute-force requests whose arrays exceed the byte budget.
 
     A request holds d^(2N) complex Kraus operators of (M*d)^2 entries and
-    the order products behind them, M*d^2 entries per index tuple.  The
-    estimate is taken as a base-10 logarithm, so it stays a small float for
-    any d and M of at least 1.  An N so large that 2N log10(d) would
-    overflow a float is rejected first by an integer comparison: at d >= 2
-    the d^(2N) >= 2^(2N) operators alone pass the budget once 2N exceeds
-    the budget's bit length.
+    the order products behind them, M*d^2 entries per index tuple; the
+    bytes are counted in exact Python integers.  An N so large that d^(2N)
+    would be a huge integer is rejected first: at d >= 2 the d^(2N) >= 2^(2N)
+    operators alone pass the budget once 2N exceeds the budget's bit length.
     """
+    dim = int(dim)
     if dim > 1 and 2 * n_channels > BYTE_BUDGET.bit_length():
         raise SizeGuardError(
             f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of Kraus "
             f"operators (budget {BYTE_BUDGET:.2e})"
         )
-    entries = (m_orders * dim) ** 2 + m_orders * dim * dim
-    log_size = 2 * n_channels * math.log10(dim) + math.log10(entries * 16)
-    if log_size > math.log10(BYTE_BUDGET):
-        exponent = math.floor(log_size)
+    size = dim ** (2 * n_channels) * ((m_orders * dim) ** 2 + m_orders * dim * dim) * 16
+    if size > BYTE_BUDGET:
         raise SizeGuardError(
-            f"N={n_channels}, d={dim}, M={m_orders} needs "
-            f"~{10 ** (log_size - exponent):.2f}e+{exponent:02d} bytes of Kraus "
+            f"N={n_channels}, d={dim}, M={m_orders} needs ~{size:.2e} bytes of Kraus "
             f"operators and order products (budget {BYTE_BUDGET:.2e})"
         )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from switchcap.capacity import (
+    DIM_RANGE,
     analytic_output_state,
     asymptotic_limit,
     control_entropy,
@@ -111,6 +112,11 @@ class TestOutputSpectrum:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidSpectrumError):
             output_spectrum(2, 2, np.array([0.9, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidSpectrumError, match="NaN or infinite"):
+            output_spectrum(2, 2, np.array([bad, bad]))
 
 
 class TestMinEntropy:
@@ -231,6 +237,22 @@ class TestAsymptoticLimit:
         with pytest.raises(DomainError):
             asymptotic_limit(1)
 
+    @pytest.mark.parametrize("dim", [65, 10**7, 10**400], ids=["65", "1e7", "1e400"])
+    def test_rejects_dimension_past_the_range(self, dim):
+        # chi loses every digit to cancellation long before d = 10^7, where
+        # holevo(100, d).chi came out negative
+        with pytest.raises(DomainError, match=f"dimension {dim} outside \\[2, 64\\]"):
+            asymptotic_limit(dim)
+        with pytest.raises(DomainError, match=f"dimension {dim} outside"):
+            holevo(100, dim)
+        with pytest.raises(DomainError, match=f"dimension {dim} outside"):
+            s_min(100, dim)
+
+    def test_range_bounds_are_accepted(self):
+        assert DIM_RANGE == (2, 64)
+        for dim in DIM_RANGE:
+            assert 0.0 < holevo(100, dim).chi < asymptotic_limit(dim)
+
 
 class TestAnalyticOutputState:
     def test_matches_brute_force_for_cyclic_orders(self):
@@ -246,6 +268,12 @@ class TestAnalyticOutputState:
         state = analytic_output_state(rho, 2, c)
         assert np.abs(state[:2, :2] - 0.36 * np.eye(2) / 2).max() < 1e-15
         assert np.abs(state[:2, 2:] - 0.48 * rho / 4).max() < 1e-15
+
+    def test_checks_the_point_like_every_closed_form(self):
+        with pytest.raises(DomainError, match="dimension 65 outside"):
+            analytic_output_state(np.eye(65) / 65, 2)
+        with pytest.raises(DomainError, match="number of orders"):
+            analytic_output_state(np.eye(2) / 2, 0)
 
 
 class TestDeterminantFactorization:

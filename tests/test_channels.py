@@ -15,7 +15,6 @@ from switchcap.channels import (
     weyl_basis,
 )
 from switchcap.errors import DimensionMismatchError, DimensionOutOfRangeError
-from switchcap.linalg import dagger
 from switchcap.switch import build_switch_kraus, cyclic_orders, random_density_matrix
 
 
@@ -35,7 +34,7 @@ class TestWeylBasis:
         # brute-force Tr(U_i^dagger U_j) over all 81 pairs
         for i, u in enumerate(basis.ops):
             for j, v in enumerate(basis.ops):
-                overlap = np.trace(dagger(u) @ v)
+                overlap = np.trace(u.conj().T @ v)
                 expected = 3.0 if i == j else 0.0
                 assert abs(overlap - expected) < 1e-12
 
@@ -44,7 +43,7 @@ class TestWeylBasis:
         basis = weyl_basis(d)
         eye = np.eye(d)
         for u in basis.ops:
-            assert np.abs(dagger(u) @ u - eye).max() < 1e-12
+            assert np.abs(u.conj().T @ u - eye).max() < 1e-12
         gram = np.einsum("aij,bij->ab", basis.ops.conj(), basis.ops)
         assert np.abs(gram - d * np.eye(d * d)).max() < 1e-11
 
@@ -86,7 +85,7 @@ class TestDepolarize:
         # literal python-loop Kraus sum, independent of the einsum path
         oracle = np.zeros((3, 3), dtype=complex)
         for u in basis.ops:
-            oracle += u @ rho @ dagger(u)
+            oracle += u @ rho @ u.conj().T
         oracle /= 9.0
         got = depolarize(basis, rho)
         assert np.abs(got - oracle).max() < 1e-14

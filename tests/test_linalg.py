@@ -11,10 +11,10 @@ from switchcap.errors import (
     NotHermitianError,
 )
 from switchcap.linalg import (
-    dagger,
     hermitian_spectrum,
     partial_trace,
     validate_density_matrix,
+    validate_spectrum,
     von_neumann_entropy,
 )
 
@@ -46,7 +46,7 @@ class TestHermitianSpectrum:
     def test_matches_lapack_on_random_hermitian(self, n):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (a + dagger(a)) / 2
+        h = (a + a.conj().T) / 2
         got = hermitian_spectrum(h)
         expected = np.sort(np.linalg.eigvalsh(h))[::-1]
         assert np.abs(got - expected).max() < 1e-12
@@ -55,13 +55,13 @@ class TestHermitianSpectrum:
         rng = np.random.default_rng(5)
         for _ in range(20):
             a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            h = (a + dagger(a)) / 2
+            h = (a + a.conj().T) / 2
             assert abs(hermitian_spectrum(h).sum() - np.trace(h).real) < 1e-10
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(17)
         a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-        h = (a + dagger(a)) / 2
+        h = (a + a.conj().T) / 2
         for c in (-2.5, 0.75, 10.0):
             shifted = hermitian_spectrum(h + c * np.eye(7))
             assert np.abs(shifted - (hermitian_spectrum(h) + c)).max() < 1e-10
@@ -131,6 +131,15 @@ class TestVonNeumannEntropy:
         with pytest.raises(InvalidSpectrumError):
             von_neumann_entropy(np.array([1.0, 0.0, bad]))
 
+    @pytest.mark.parametrize(
+        "bad", [[], [np.nan, np.nan], [1.001, -0.001], [0.7, 0.2]], ids=str
+    )
+    def test_validate_spectrum_owns_the_checks(self, bad):
+        with pytest.raises(InvalidSpectrumError):
+            validate_spectrum(np.array(bad))
+        with pytest.raises(InvalidSpectrumError):
+            von_neumann_entropy(np.array(bad))
+
 
 class TestPartialTrace:
     def test_product_state_recovers_factor(self):
@@ -145,9 +154,9 @@ class TestPartialTrace:
         for da, db in [(2, 2), (2, 3), (3, 2), (4, 3)]:
             a = rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da))
             b = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
-            rho_a = a @ dagger(a)
+            rho_a = a @ a.conj().T
             rho_a /= np.trace(rho_a).real
-            rho_b = b @ dagger(b)
+            rho_b = b @ b.conj().T
             rho_b /= np.trace(rho_b).real
             joint = np.kron(rho_a, rho_b)
             assert np.abs(partial_trace(joint, da, db, "A") - rho_a).max() < 1e-12
@@ -166,7 +175,7 @@ class TestPartialTrace:
     def test_trace_preserved(self):
         rng = np.random.default_rng(41)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        rho = a @ dagger(a)
+        rho = a @ a.conj().T
         rho /= np.trace(rho).real
         for keep in ("A", "B"):
             reduced = partial_trace(rho, 2, 3, keep)

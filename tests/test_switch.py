@@ -7,7 +7,7 @@ import pytest
 
 from switchcap.channels import weyl_basis
 from switchcap.errors import DimensionMismatchError, DomainError, InvalidStateError, SizeGuardError
-from switchcap.linalg import dagger, hermitian_spectrum, von_neumann_entropy
+from switchcap.linalg import hermitian_spectrum, von_neumann_entropy
 from switchcap.switch import (
     BYTE_BUDGET,
     MAX_ORACLE_SAMPLES,
@@ -38,7 +38,7 @@ def naive_cross_block(order_a, order_b, basis, rho):
         right = np.eye(d, dtype=complex)
         for slot in order_b:
             right = right @ basis.ops[t[slot]]
-        acc += left @ rho @ dagger(right)
+        acc += left @ rho @ right.conj().T
     return acc / d ** (2 * n)
 
 
@@ -192,6 +192,37 @@ class TestBuildSwitchKraus:
         else:
             with pytest.raises(SizeGuardError, match="bytes"):
                 check_size_guard(orders.n_channels, orders.m_orders, dim)
+
+    def test_size_guard_decisions_on_a_grid(self):
+        # Largest admitted M in 1..130 for each (N, d), N in 2..15 and d in
+        # 1..16, as decided by the guard's earlier base-10 logarithm estimate.
+        # d = 1 and the pairs in all_m admit every M; the other pairs admit none.
+        largest = {
+            (2, 4): 63, (2, 5): 32, (2, 6): 18, (2, 7): 11, (2, 8): 7, (2, 9): 5,
+            (2, 10): 3, (2, 11): 2, (2, 12): 1, (2, 13): 1, (2, 14): 1,
+            (3, 3): 50, (3, 4): 15, (3, 5): 6, (3, 6): 2, (3, 7): 1,
+            (4, 2): 127, (4, 3): 16, (4, 4): 3, (5, 2): 63, (5, 3): 5,
+            (6, 2): 31, (6, 3): 1, (7, 2): 15, (8, 2): 7, (9, 2): 3, (10, 2): 1,
+        }
+        all_m = {(2, 2), (2, 3), (3, 2)}
+        for n, d in itertools.product(range(2, 16), range(1, 17)):
+            bound = 130 if d == 1 or (n, d) in all_m else largest.get((n, d), 0)
+            for m in range(1, 131):
+                if m <= bound:
+                    check_size_guard(n, m, d)
+                else:
+                    with pytest.raises(SizeGuardError):
+                        check_size_guard(n, m, d)
+
+    def test_size_guard_counts_exact_integers(self):
+        # d^(2N) is 1 at d = 1, so a huge N costs nothing there
+        check_size_guard(10**400, 1, 1)
+        for n in (10**400, 15):
+            with pytest.raises(SizeGuardError, match=f"over 2\\^{2 * n} bytes"):
+                check_size_guard(n, 1, 2)
+        # 3^28 (3000^2 + 9000) 16 bytes is past 2^63: a numpy d is counted as a Python int
+        with pytest.raises(SizeGuardError, match="3.30e\\+21 bytes"):
+            check_size_guard(14, 1000, np.int64(3))
 
 
 class TestApplySwitch:
