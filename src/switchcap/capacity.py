@@ -20,7 +20,7 @@ plus (d^2 - 1) / (M d^2) with multiplicity M - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +39,12 @@ DIM_RANGE = (2, 64)
 MAX_DETERMINANT_DIM = 256
 
 
-@dataclass(frozen=True)
-class CapacityReport:
-    """Communication-rate summary for one (M, d) point, all values in bits."""
+class CapacityReport(NamedTuple):
+    """Communication-rate summary for one (M, d) point, all values in bits.
+
+    A named tuple, so it is immutable and costs a fraction of a frozen
+    dataclass to build; the closed-form grid builds one per point.
+    """
 
     m_orders: int
     dim: int
@@ -118,9 +121,7 @@ def holevo(m_orders: int, dim: int) -> CapacityReport:
     smin = _s_min(m_orders, dim)
     scontrol = _control_entropy(m_orders, dim)
     chi = math.log2(dim) + scontrol - smin
-    return CapacityReport(
-        m_orders=m_orders, dim=dim, s_min=smin, s_control=scontrol, chi=chi
-    )
+    return CapacityReport(m_orders, dim, smin, scontrol, chi)
 
 
 def asymptotic_limit(dim: int) -> float:

@@ -49,7 +49,6 @@ from .switch import (
     build_switch_kraus,
     check_size_guard,
     cyclic_orders,
-    cyclically_related,
     holevo_oracle,
     order_count,
     random_density_matrix,
@@ -113,14 +112,6 @@ def parse_permutations(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _grid_points(dims: tuple[int, ...], orders: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Distinct (m, d) points, sorted by dimension and then by order count."""
-    sorted_orders = sorted(set(orders))
-    for d in sorted(set(dims)):
-        for m in sorted_orders:
-            yield m, d
-
-
 def _rows_as_dicts(rows: Iterable[CapacityReport]) -> list[dict]:
     return [
         {
@@ -139,24 +130,27 @@ def _json_document(rows: list[dict], seed: int) -> str:
 
 
 def _csv_lines(rows: Iterable[CapacityReport]) -> Iterator[str]:
-    yield CSV_HEADER
-    for r in rows:
-        yield f"{r.m_orders},{r.dim},{r.chi:.12g},{r.s_min:.12g},{r.s_control:.12g}"
+    yield CSV_HEADER + "\n"
+    # One % format per row: the same bytes as format(x, ".12g") per field.
+    for m, d, smin, scontrol, chi in rows:
+        yield "%d,%d,%.12g,%.12g,%.12g\n" % (m, d, chi, smin, scontrol)
 
 
 def _text_lines(rows: Iterable[CapacityReport]) -> Iterator[str]:
-    yield f"{'m_orders':>8} {'dim':>4} {'chi_bits':>9} {'s_min_bits':>12} {'s_control_bits':>15}"
+    yield f"{'m_orders':>8} {'dim':>4} {'chi_bits':>9} {'s_min_bits':>12} {'s_control_bits':>15}\n"
     for r in rows:
-        yield f"{r.m_orders:>8} {r.dim:>4} {r.chi:>9.4f} {r.s_min:>12.6f} {r.s_control:>15.6f}"
+        yield f"{r.m_orders:>8} {r.dim:>4} {r.chi:>9.4f} {r.s_min:>12.6f} {r.s_control:>15.6f}\n"
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     dims = parse_int_list(args.dims)
     orders = parse_int_list(args.orders)
     _validate_grid(dims, orders)
-    rows = (holevo(m, d) for m, d in _grid_points(dims, orders))
+    # Distinct points, sorted by dimension and then by order count.
+    points = itertools.product(sorted(set(dims)), sorted(set(orders)))
+    rows = (holevo(m, d) for d, m in points)
     if args.format == "json":
-        lines: Iterable[str] = [_json_document(_rows_as_dicts(rows), args.seed)]
+        lines: Iterable[str] = [_json_document(_rows_as_dicts(rows), args.seed) + "\n"]
     elif args.format == "csv":
         lines = _csv_lines(rows)
     else:
@@ -166,9 +160,25 @@ def cmd_grid(args: argparse.Namespace) -> int:
     else:
         target = open(args.out, "w", encoding="utf-8")
     with target as handle:
-        # Each text or CSV row is computed, formatted and written before the next.
-        handle.writelines(f"{line}\n" for line in lines)
+        # Each text or CSV row is computed, formatted and written before the
+        # next; every line already ends with its newline.
+        handle.writelines(lines)
     return 0
+
+
+def _cyclic_mask(orders: OrderSet) -> np.ndarray:
+    """(M, M) mask of the order pairs that are cyclic shifts of each other.
+
+    Each order is labelled by its smallest rotation, so the mask takes M
+    labels instead of M^2 ``cyclically_related`` calls.
+    """
+    n = orders.n_channels
+    labels: dict[tuple[int, ...], int] = {}
+    ids = np.array([
+        labels.setdefault(min(o[k:] + o[:k] for k in range(n)), len(labels))
+        for o in orders.orders
+    ])
+    return ids[:, None] == ids[None, :]
 
 
 def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int) -> dict:
@@ -193,8 +203,7 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     pure[0, 0] = 1.0
     inputs = [pure, random_density_matrix(dim, rng), np.eye(dim, dtype=complex) / dim]
 
-    pairs = orders.orders
-    related = np.array([[cyclically_related(a, b) for b in pairs] for a in pairs])
+    related = _cyclic_mask(orders)
     residual = np.zeros((m, m))
     for rho in inputs:
         produced = apply_switch(orders, basis, amplitudes, rho)

@@ -168,6 +168,12 @@ def cyclically_related(a: Permutation, b: Permutation) -> bool:
     return any(tuple(a[(i + k) % n] for i in range(n)) == tuple(b) for k in range(n))
 
 
+def _bytes_text(size: int) -> str:
+    """A byte count in ``.2e`` form, or as a power of two past the float range."""
+    bits = int(size).bit_length()
+    return f"{size:.2e}" if bits < 1024 else f"2^{bits}"
+
+
 def check_size_guard(n_channels: int, m_orders: int, dim: int) -> None:
     """Reject brute-force requests whose arrays exceed the byte budget.
 
@@ -186,7 +192,7 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> None:
     size = dim ** (2 * n_channels) * ((m_orders * dim) ** 2 + m_orders * dim * dim) * 16
     if size > BYTE_BUDGET:
         raise SizeGuardError(
-            f"N={n_channels}, d={dim}, M={m_orders} needs ~{size:.2e} bytes of Kraus "
+            f"N={n_channels}, d={dim}, M={m_orders} needs ~{_bytes_text(size)} bytes of Kraus "
             f"operators and order products (budget {BYTE_BUDGET:.2e})"
         )
 
@@ -200,7 +206,7 @@ def check_oracle_size(orders: OrderSet, dim: int, n_samples: int) -> None:
     if size > BYTE_BUDGET:
         raise SizeGuardError(
             f"{n_samples} samples at d={dim}, M={orders.m_orders} need "
-            f"~{size:.2e} bytes of output states (budget {BYTE_BUDGET:.2e})"
+            f"~{_bytes_text(size)} bytes of output states (budget {BYTE_BUDGET:.2e})"
         )
 
 

@@ -175,7 +175,18 @@ class TestHolevo:
         m, d = point
         assert holevo(m, d).chi == pytest.approx(expected, abs=1e-4)
 
-    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_report_fields_in_order(self):
+        report = holevo(3, 2)
+        assert report._fields == ("m_orders", "dim", "s_min", "s_control", "chi")
+        assert tuple(report) == (3, 2, report.s_min, report.s_control, report.chi)
+        assert report.chi == pytest.approx(CHI_3_2, abs=1e-14)
+
+    @pytest.mark.parametrize("field", ["m_orders", "dim", "s_min", "s_control", "chi"])
+    def test_report_is_immutable(self, field):
+        with pytest.raises(AttributeError):
+            setattr(holevo(2, 2), field, 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 64])
     def test_single_order_chi_exactly_zero(self, d):
         report = holevo(1, d)
         assert report.chi == 0.0

@@ -7,7 +7,15 @@ import tracemalloc
 import pytest
 
 from switchcap.capacity import holevo
-from switchcap.cli import CSV_HEADER, ORDER_RANGE, main, parse_int_list, parse_permutations
+from switchcap.cli import (
+    CSV_HEADER,
+    ORDER_RANGE,
+    _csv_lines,
+    _cyclic_mask,
+    main,
+    parse_int_list,
+    parse_permutations,
+)
 from switchcap.errors import (
     DomainError,
     InvalidSpectrumError,
@@ -15,7 +23,7 @@ from switchcap.errors import (
     NoConvergenceError,
     NotHermitianError,
 )
-from switchcap.switch import all_orders, cyclically_related
+from switchcap.switch import OrderSet, all_orders, cyclically_related
 
 # Two orders of 520 channels, forward and reversed, as --perms takes them.
 WIDE_PAIR = ";".join(",".join(map(str, order)) for order in (range(520), range(519, -1, -1)))
@@ -143,6 +151,37 @@ class TestSweep:
     def test_table_json_matches_sweep_json(self, tmp_path, capsys):
         self._table_matches_sweep(tmp_path, capsys, "json")
 
+    def test_csv_rows_match_format_per_field(self):
+        reports = [holevo(m, d) for d in (2, 3, 16, 64) for m in (1, 2, 3, 7, 1000, 10**6)]
+        reference = [CSV_HEADER + "\n"] + [
+            ",".join(
+                [str(r.m_orders), str(r.dim)]
+                + [format(x, ".12g") for x in (r.chi, r.s_min, r.s_control)]
+            )
+            + "\n"
+            for r in reports
+        ]
+        lines = list(_csv_lines(reports))
+        assert "".join(lines).encode() == "".join(reference).encode()
+        # a single order transmits nothing, written as a bare 0
+        assert lines[1].startswith("1,2,0,")
+
+    @pytest.mark.parametrize(
+        ("command", "fmt"),
+        [
+            ("table", "text"),
+            ("table", "csv"),
+            ("table", "json"),
+            ("sweep", "csv"),
+            ("sweep", "json"),
+        ],
+    )
+    def test_every_document_ends_with_one_newline(self, capsys, command, fmt):
+        assert main([command, "--dims", "2,3", "--orders", "1,4", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        assert len(out.splitlines()) == (1 if fmt == "json" else 5)
+
     def test_invalid_grid_creates_no_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         assert main(["sweep", "--dims", "2", "--orders", "0..3", "--out", str(out)]) == 2
@@ -245,6 +284,21 @@ class TestVerify:
         ]
         assert [(p["i"], p["j"]) for p in row["divergent_pairs"]] == unrelated
 
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            all_orders(3),
+            all_orders(4),
+            all_orders(5),
+            OrderSet(orders=((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 2, 3), (3, 1, 0, 2), (0, 2, 1, 3))),
+        ],
+        ids=["all-3", "all-4", "all-5", "mixed"],
+    )
+    def test_cyclic_mask_matches_pairwise_relation(self, orders):
+        pairs = orders.orders
+        pairwise = [[cyclically_related(a, b) for b in pairs] for a in pairs]
+        assert _cyclic_mask(orders).tolist() == pairwise
+
     def test_explicit_subset_of_a_cyclic_class(self, capsys):
         # two cyclically related orders of three channels behave like M=2
         code = main(
@@ -334,7 +388,7 @@ class TestVerify:
         def never(*args, **kwargs):
             raise AssertionError("an order set or a switch map was built")
 
-        for name in ("cyclic_orders", "all_orders", "cyclically_related"):
+        for name in ("cyclic_orders", "all_orders", "_cyclic_mask"):
             monkeypatch.setattr(f"switchcap.cli.{name}", never)
         monkeypatch.setattr("switchcap.switch._switch_map", never)
         started = time.perf_counter()

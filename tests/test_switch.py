@@ -224,6 +224,25 @@ class TestBuildSwitchKraus:
         with pytest.raises(SizeGuardError, match="3.30e\\+21 bytes"):
             check_size_guard(14, 1000, np.int64(3))
 
+    @pytest.mark.parametrize(
+        ("m", "dim", "bits"),
+        [(10**200, 2, 1339), (2, 10**300, 5987)],
+        ids=["huge-m", "huge-d"],
+    )
+    def test_size_guard_message_past_the_float_range(self, m, dim, bits):
+        # the byte count is too large for a float, so the message gives its bit length
+        with pytest.raises(SizeGuardError, match=f"needs ~2\\^{bits} bytes"):
+            check_size_guard(2, m, dim)
+
+    def test_size_guard_message_in_the_float_range(self):
+        # the verify --channels 2 --dim 16 message, byte for byte
+        with pytest.raises(SizeGuardError) as caught:
+            check_size_guard(2, 2, 16)
+        assert str(caught.value) == (
+            "N=2, d=16, M=2 needs ~1.61e+09 bytes of Kraus operators "
+            "and order products (budget 2.68e+08)"
+        )
+
 
 class TestApplySwitch:
     def test_two_channel_qubit_blocks(self):
@@ -430,6 +449,10 @@ class TestHolevoOracle:
         check_oracle_size(orders, 2, largest)
         with pytest.raises(SizeGuardError):
             check_oracle_size(orders, 2, largest + 1)
+
+    def test_state_budget_message_past_the_float_range(self):
+        with pytest.raises(SizeGuardError, match="need ~2\\^2000 bytes"):
+            check_oracle_size(cyclic_orders(2), 10**200, 1)
 
 
 class TestSampling:
