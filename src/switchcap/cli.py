@@ -4,8 +4,8 @@ Subcommands:
 
 * ``table``  - print rate summaries for an (orders, dims) grid.
 * ``sweep``  - write the same grid as CSV or JSON for plotting.  Both are
-  ``cmd_grid``: text and CSV rows are streamed one point at a time, so
-  memory does not grow with the grid, an interrupted sweep leaves the rows
+  ``cmd_grid``: every format is streamed one point at a time, so memory
+  does not grow with the grid, an interrupted sweep leaves the rows
   written so far in ``--out``, and every output ends with a newline.
 * ``verify`` - compare the brute-force switch output and sampled rate
   against the closed forms, emitting a machine-readable report.
@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -60,7 +61,18 @@ ORDER_RANGE = (1, 10**6)
 BLOCK_TOL = 1e-10
 CHI_TOL = 1e-6
 
-CSV_HEADER = "m_orders,dim,chi_bits,s_min_bits,s_control_bits"
+COLUMNS = ("m_orders", "dim", "chi_bits", "s_min_bits", "s_control_bits")
+CSV_HEADER = ",".join(COLUMNS)
+# Each grid format is a head, one % row template over (m, d, chi, s_min,
+# s_control), the text between two rows, and a tail whose %(meta)s takes the
+# JSON meta object.  %s of a finite float, builtin or NumPy, is the shortest
+# repr that json.dumps writes; every closed-form rate is finite.
+JSON_ROW = "{%s}" % ", ".join(f'"{name}": %{spec}' for name, spec in zip(COLUMNS, "ddsss"))
+FORMATS = {
+    "text": ("%8s %4s %9s %12s %15s\n" % COLUMNS, "%8d %4d %9.4f %12.6f %15.6f\n", "", ""),
+    "csv": (CSV_HEADER + "\n", "%d,%d,%.12g,%.12g,%.12g\n", "", ""),
+    "json": ('{"rows": [', JSON_ROW, ", ", '], "meta": %(meta)s}\n'),
+}
 
 
 def _validate_grid(dims: tuple[int, ...], orders: tuple[int, ...]) -> None:
@@ -112,34 +124,21 @@ def parse_permutations(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _rows_as_dicts(rows: Iterable[CapacityReport]) -> list[dict]:
-    return [
-        {
-            "m_orders": r.m_orders,
-            "dim": r.dim,
-            "chi_bits": r.chi,
-            "s_min_bits": r.s_min,
-            "s_control_bits": r.s_control,
-        }
-        for r in rows
-    ]
+def _grid_lines(fmt: str, rows: Iterable[CapacityReport], seed: int) -> Iterator[str]:
+    """Stream one grid document: each row is formatted as it is computed."""
+    head, row, between, tail = FORMATS[fmt]
+    yield head
+    # Every row after the first starts with the separator.
+    template, later = row, between + row
+    for m, d, s_min, s_control, chi in rows:
+        yield template % (m, d, chi, s_min, s_control)
+        template = later
+    if tail:
+        yield tail % {"meta": json.dumps(_meta(seed))}
 
 
-def _json_document(rows: list[dict], seed: int) -> str:
-    return json.dumps({"rows": rows, "meta": {"seed": seed, "version": __version__}})
-
-
-def _csv_lines(rows: Iterable[CapacityReport]) -> Iterator[str]:
-    yield CSV_HEADER + "\n"
-    # One % format per row: the same bytes as format(x, ".12g") per field.
-    for m, d, smin, scontrol, chi in rows:
-        yield "%d,%d,%.12g,%.12g,%.12g\n" % (m, d, chi, smin, scontrol)
-
-
-def _text_lines(rows: Iterable[CapacityReport]) -> Iterator[str]:
-    yield f"{'m_orders':>8} {'dim':>4} {'chi_bits':>9} {'s_min_bits':>12} {'s_control_bits':>15}\n"
-    for r in rows:
-        yield f"{r.m_orders:>8} {r.dim:>4} {r.chi:>9.4f} {r.s_min:>12.6f} {r.s_control:>15.6f}\n"
+def _meta(seed: int) -> dict:
+    return {"seed": seed, "version": __version__}
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -148,20 +147,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     _validate_grid(dims, orders)
     # Distinct points, sorted by dimension and then by order count.
     points = itertools.product(sorted(set(dims)), sorted(set(orders)))
-    rows = (holevo(m, d) for d, m in points)
-    if args.format == "json":
-        lines: Iterable[str] = [_json_document(_rows_as_dicts(rows), args.seed) + "\n"]
-    elif args.format == "csv":
-        lines = _csv_lines(rows)
-    else:
-        lines = _text_lines(rows)
-    if args.out == "-":
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        target = open(args.out, "w", encoding="utf-8")
+    lines = _grid_lines(args.format, (holevo(m, d) for d, m in points), args.seed)
+    out = args.out
+    target = contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8")
     with target as handle:
-        # Each text or CSV row is computed, formatted and written before the
-        # next; every line already ends with its newline.
+        # Each row is computed, formatted and written before the next.
         handle.writelines(lines)
     return 0
 
@@ -255,8 +245,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "explicit":
         if perms is None or args.channels is not None:
             raise DomainError("explicit mode needs --perms and takes no --channels")
-        shapes = [(len(perms[0]), len(perms))]
-        build = lambda n: OrderSet(orders=perms)
+        # Validating the parsed tuples builds nothing new, so a ragged,
+        # duplicated or non-permutation set is an argument error first.
+        given = OrderSet(orders=perms)
+        shapes = [(given.n_channels, given.m_orders)]
+        build = lambda n: given
     else:
         channels = dict.fromkeys(parse_int_list("2" if args.channels is None else args.channels))
         shapes = [(n, order_count(n, args.mode)) for n in channels]
@@ -271,7 +264,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for orders in order_sets
         for basis in bases
     ]
-    print(_json_document(rows, args.seed))
+    print(json.dumps({"rows": rows, "meta": _meta(args.seed)}))
     return 1 if any(r["status"] == "fail" for r in rows) else 0
 
 
@@ -332,7 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Buffered output meets a closed reader here, not at interpreter exit.
+        sys.stdout.flush()
+        return code
     except SizeGuardError as exc:
         print(f"switchcap: size guard: {exc}", file=sys.stderr)
         return 4
@@ -343,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"switchcap: invalid arguments: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
+            # Unread rows stay buffered; the flush at exit would turn 3 into 120.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"switchcap: i/o error: {exc}", file=sys.stderr)
         return 3
 

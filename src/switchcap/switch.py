@@ -88,6 +88,9 @@ class ControlAmplitudes:
     def __post_init__(self) -> None:
         if not self.values:
             raise InvalidStateError("empty amplitude vector")
+        # NaN passes both comparisons below, so it is rejected first.
+        if not all(math.isfinite(v) for v in self.values):
+            raise InvalidStateError("amplitudes must be finite")
         if min(self.values) < 0.0:
             raise InvalidStateError("amplitudes must be nonnegative")
         total = sum(v * v for v in self.values)

@@ -1,17 +1,23 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import switchcap
 from switchcap.capacity import holevo
 from switchcap.cli import (
     CSV_HEADER,
     ORDER_RANGE,
-    _csv_lines,
     _cyclic_mask,
+    _grid_lines,
     main,
     parse_int_list,
     parse_permutations,
@@ -24,6 +30,9 @@ from switchcap.errors import (
     NotHermitianError,
 )
 from switchcap.switch import OrderSet, all_orders, cyclically_related
+
+# Mixed grid points: a single order, tiny and huge M, the smallest and largest d.
+MIXED_REPORTS = [holevo(m, d) for d in (2, 3, 16, 64) for m in (1, 2, 3, 7, 1000, 10**6)]
 
 # Two orders of 520 channels, forward and reversed, as --perms takes them.
 WIDE_PAIR = ";".join(",".join(map(str, order)) for order in (range(520), range(519, -1, -1)))
@@ -152,19 +161,47 @@ class TestSweep:
         self._table_matches_sweep(tmp_path, capsys, "json")
 
     def test_csv_rows_match_format_per_field(self):
-        reports = [holevo(m, d) for d in (2, 3, 16, 64) for m in (1, 2, 3, 7, 1000, 10**6)]
         reference = [CSV_HEADER + "\n"] + [
             ",".join(
                 [str(r.m_orders), str(r.dim)]
                 + [format(x, ".12g") for x in (r.chi, r.s_min, r.s_control)]
             )
             + "\n"
-            for r in reports
+            for r in MIXED_REPORTS
         ]
-        lines = list(_csv_lines(reports))
+        lines = list(_grid_lines("csv", MIXED_REPORTS, 42))
         assert "".join(lines).encode() == "".join(reference).encode()
         # a single order transmits nothing, written as a bare 0
         assert lines[1].startswith("1,2,0,")
+
+    def test_json_rows_match_json_dumps(self):
+        rows = [
+            {
+                "m_orders": r.m_orders,
+                "dim": r.dim,
+                "chi_bits": r.chi,
+                "s_min_bits": r.s_min,
+                "s_control_bits": r.s_control,
+            }
+            for r in MIXED_REPORTS
+        ]
+        meta = {"seed": 7, "version": switchcap.__version__}
+        reference = json.dumps({"rows": rows, "meta": meta})
+        streamed = "".join(_grid_lines("json", MIXED_REPORTS, 7))
+        assert streamed.encode() == (reference + "\n").encode()
+        # NumPy floats, as a vectorized grid would yield, write the same bytes
+        as_numpy = [type(r)(r.m_orders, r.dim, *map(np.float64, r[2:])) for r in MIXED_REPORTS]
+        assert "".join(_grid_lines("json", as_numpy, 7)) == streamed
+
+    def test_text_rows_match_fstring_columns(self):
+        reference = [
+            f"{'m_orders':>8} {'dim':>4} {'chi_bits':>9} {'s_min_bits':>12} {'s_control_bits':>15}\n"
+        ] + [
+            f"{r.m_orders:>8} {r.dim:>4} {r.chi:>9.4f} {r.s_min:>12.6f} {r.s_control:>15.6f}\n"
+            for r in MIXED_REPORTS
+        ]
+        streamed = "".join(_grid_lines("text", MIXED_REPORTS, 42))
+        assert streamed.encode() == "".join(reference).encode()
 
     @pytest.mark.parametrize(
         ("command", "fmt"),
@@ -188,28 +225,71 @@ class TestSweep:
         assert not out.exists()
 
     def test_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
-        self._memory_does_not_grow(tmp_path, monkeypatch, ["sweep", "--out", "grid.csv"])
+        self._memory_does_not_grow(tmp_path, monkeypatch, "sweep", "csv")
 
     def test_table_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
-        self._memory_does_not_grow(tmp_path, monkeypatch, ["table", "--format", "csv"])
+        self._memory_does_not_grow(tmp_path, monkeypatch, "table", "csv")
+
+    @pytest.mark.parametrize(
+        ("command", "fmt"), [("table", "text"), ("table", "json"), ("sweep", "json")]
+    )
+    def test_text_and_json_memory_does_not_grow(self, tmp_path, monkeypatch, command, fmt):
+        self._memory_does_not_grow(tmp_path, monkeypatch, command, fmt)
 
     @staticmethod
-    def _memory_does_not_grow(tmp_path, monkeypatch, argv):
+    def _memory_does_not_grow(tmp_path, monkeypatch, command, fmt):
         # 30 000 points; rows are written as they are computed, not held.
         # stdout goes to a file, so captured output is not counted as held.
         monkeypatch.chdir(tmp_path)
+        argv = [command, "--format", fmt, "--dims", "2..16", "--orders", "1..2000"]
+        if command == "sweep":
+            argv += ["--out", "grid.out"]
         with open("stdout.txt", "w", encoding="utf-8") as stdout, monkeypatch.context() as patch:
             patch.setattr("sys.stdout", stdout)
             tracemalloc.start()
             try:
-                code = main([*argv, "--dims", "2..16", "--orders", "1..2000"])
+                code = main(argv)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert code == 0
         assert peak < 2 * 2**20
-        out = tmp_path / ("grid.csv" if argv[0] == "sweep" else "stdout.txt")
-        assert out.read_text().count("\n") == 1 + 15 * 2000
+        text = (tmp_path / ("grid.out" if command == "sweep" else "stdout.txt")).read_text()
+        if fmt == "json":
+            assert len(json.loads(text)["rows"]) == 15 * 2000
+        else:
+            assert text.count("\n") == 1 + 15 * 2000
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        ("argv", "taken"),
+        [
+            # 4 MB of JSON: the reader stops after 10 bytes and breaks the
+            # pipe mid-grid, with rows still waiting in stdout's buffer.
+            (["sweep", "--dims", "2..16", "--orders", "1..2000", "--format", "json"], 10),
+            # a table small enough to sit in the buffer until main flushes it
+            (["table"], 0),
+        ],
+        ids=["json-sweep", "small-table"],
+    )
+    def test_reader_closing_early_is_an_io_error(self, argv, taken, unbuffered):
+        # One stderr line and exit 3, not a second error at exit (status 120).
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        src = str(Path(switchcap.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "switchcap.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert len(proc.stdout.read(taken)) == taken
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (3, "switchcap: i/o error: [Errno 32] Broken pipe\n")
 
     def test_monotone_approach_to_saturation(self, tmp_path):
         out = tmp_path / "sat.csv"
@@ -358,6 +438,10 @@ class TestVerify:
             ["--channels", "1"],
             ["--mode", "explicit", "--perms", "0,1", "--channels", "9"],
             ["--mode", "cyclic", "--perms", "0,1,2;1,0,2"],
+            # invalid sets of 16 channels: the set is checked before the byte guard
+            ["--mode", "explicit", "--perms", ",".join(map(str, range(16))) + ";1,0"],
+            ["--mode", "explicit", "--perms", ";".join([",".join(map(str, range(16)))] * 2)],
+            ["--mode", "explicit", "--perms", ",".join(map(str, range(15))) + ",99"],
         ],
     )
     def test_bad_order_set_is_argument_error(self, capsys, argv):

@@ -1,6 +1,7 @@
 """Tests for the brute-force switch simulation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestControlAmplitudes:
     def test_rejects_negative(self):
         with pytest.raises(InvalidStateError):
             ControlAmplitudes(values=(-0.6, 0.8))
+
+    @pytest.mark.parametrize(
+        "values",
+        [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0)],
+        ids=["nan-nan", "nan-one", "one-nan", "inf-zero"],
+    )
+    def test_rejects_non_finite(self, values):
+        # NaN compares false against both the sign and the norm check
+        with pytest.raises(InvalidStateError, match="finite"):
+            ControlAmplitudes(values=values)
 
 
 class TestBuildSwitchKraus:
