@@ -80,10 +80,10 @@ def depolarize(basis: UnitaryBasis, rho: np.ndarray) -> np.ndarray:
 def check_completeness(kraus: ArrayLike) -> float:
     """Max-norm residual of the trace-preservation condition.
 
-    ``kraus`` is a stack of K operators, anything that converts to a
-    complex array of shape (K, n, n), such as a list of n x n matrices.
-    Returns ``max |sum_i K_i^dagger K_i - I|`` over matrix entries.  A value
-    below ~1e-12 certifies the operators form a valid channel.
+    ``kraus`` converts to a complex (K, B, n, n) stack of K block-diagonal
+    operators held as their B blocks, or to a (K, n, n) stack (B = 1), such
+    as a list of n x n matrices.  Returns max |sum_i K_ib^dagger K_ib - I|
+    over entries and blocks b; below ~1e-12 certifies a valid channel.
     """
     try:
         ops = np.ascontiguousarray(kraus, dtype=complex)
@@ -91,14 +91,19 @@ def check_completeness(kraus: ArrayLike) -> float:
         raise DimensionMismatchError(f"Kraus operators must share a square shape: {exc}") from exc
     if ops.size == 0:
         raise ValueError("empty Kraus list")
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+    ops = ops[:, None] if ops.ndim == 3 else ops
+    if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
         raise DimensionMismatchError(
-            f"expected a (K, n, n) stack of Kraus operators, got shape {ops.shape}"
+            f"expected a (K, n, n) or (K, B, n, n) stack of Kraus operators, got shape {ops.shape}"
         )
-    dim = ops.shape[1]
-    # Conjugating the stack would copy it, so the Gram product runs on its
-    # real view: column 2a of ``r`` is Re K[:, :, a] and column 2a+1 is Im.
-    r = ops.view(np.float64).reshape(-1, 2 * dim)
-    g = r.T @ r
-    total = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
-    return float(np.abs(total - np.eye(dim)).max())
+    dim = ops.shape[2]
+    # Conjugating the stack would copy it, so each block's Gram product runs
+    # on its real view (a copy of that block only when B > 1): column 2a of
+    # ``r`` is Re K[:, b, :, a] and column 2a+1 is Im.
+    residual = 0.0
+    for block in ops.transpose(1, 0, 2, 3):
+        r = block.view(np.float64).reshape(-1, 2 * dim)
+        g = r.T @ r
+        total = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
+        residual = max(residual, float(np.abs(total - np.eye(dim)).max()))
+    return residual

@@ -42,10 +42,10 @@ MAX_FACTORIAL_CHANNELS = 5
 # one spectrum, ~0.1 ms at M*d = 4, so the cap keeps the loop near 10 s.
 MAX_ORACLE_SAMPLES = 10**5
 
-# Bytes one brute-force array family may take: the Kraus stack plus the
-# order products (check_size_guard), or the oracle's sampled output states,
-# one complex (M*d, M*d) matrix per sample: ~7000 samples (~3 s) at N=4,
-# d=2, M=24 (check_oracle_size).
+# Bytes one brute-force array family may take: the switch map's peak arrays
+# (check_size_guard), or the oracle's sampled output states, one complex
+# (M*d, M*d) matrix per sample: ~7000 samples (~3 s) at N=4, d=2, M=24
+# (check_oracle_size).
 BYTE_BUDGET = 2**28
 
 Permutation = tuple[int, ...]
@@ -177,27 +177,29 @@ def _bytes_text(size: int) -> str:
     return f"{size:.2e}" if bits < 1024 else f"2^{bits}"
 
 
-def check_size_guard(n_channels: int, m_orders: int, dim: int) -> None:
+def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
     """Reject brute-force requests whose arrays exceed the byte budget.
 
-    A request holds d^(2N) complex Kraus operators of (M*d)^2 entries and
-    the order products behind them, M*d^2 entries per index tuple; the
-    bytes are counted in exact Python integers.  An N so large that d^(2N)
-    would be a huge integer is rejected first: at d >= 2 the d^(2N) >= 2^(2N)
-    operators alone pass the budget once 2N exceeds the budget's bit length.
+    The peak is the switch map's: d^(2N) order products of M*d^2 complex
+    entries, their conjugate copy and their Gram product, so the count is
+    16 M d^2 (2 d^(2N) + M d^2) bytes, an exact integer returned when it
+    fits; the Kraus blocks stay below it.  At d >= 2 an N with 2N past the
+    budget's bit length is refused first, as its 2^(2N) products alone pass
+    the budget, so d^(2N) is never built as a huge integer.
     """
     dim = int(dim)
     if dim > 1 and 2 * n_channels > BYTE_BUDGET.bit_length():
         raise SizeGuardError(
-            f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of Kraus "
-            f"operators (budget {BYTE_BUDGET:.2e})"
+            f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of order "
+            f"products (budget {BYTE_BUDGET:.2e})"
         )
-    size = dim ** (2 * n_channels) * ((m_orders * dim) ** 2 + m_orders * dim * dim) * 16
+    size = 16 * m_orders * dim**2 * (2 * dim ** (2 * n_channels) + m_orders * dim**2)
     if size > BYTE_BUDGET:
         raise SizeGuardError(
-            f"N={n_channels}, d={dim}, M={m_orders} needs ~{_bytes_text(size)} bytes of Kraus "
-            f"operators and order products (budget {BYTE_BUDGET:.2e})"
+            f"N={n_channels}, d={dim}, M={m_orders} needs ~{_bytes_text(size)} bytes of order "
+            f"products and their switch map (budget {BYTE_BUDGET:.2e})"
         )
+    return size
 
 
 def check_oracle_size(orders: OrderSet, dim: int, n_samples: int) -> None:
@@ -269,21 +271,14 @@ def _output_states(
 
 
 def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
-    """The d^(2N) switch Kraus operators as one stack, shape (d^(2N), M*d, M*d).
+    """The d^(2N) switch Kraus operators as their control blocks, shape (d^(2N), M, d, d).
 
-    Operator t is block-diagonal over the control index, with block l equal
-    to the basis unitaries for tuple t composed in the l-th causal order,
-    scaled by 1/d^N overall.
+    Operator t is block-diagonal over the control; its block l is the basis
+    unitaries for tuple t composed in the l-th causal order, over d^N.
     """
-    d = basis.dim
-    n = orders.n_channels
-    m = orders.m_orders
-    products = _order_products(orders.orders, basis, n)
-    products /= float(d**n)
-    kraus = np.zeros((len(products), m * d, m * d), dtype=complex)
-    for l in range(m):
-        kraus[:, l * d : (l + 1) * d, l * d : (l + 1) * d] = products[:, l]
-    return kraus
+    products = _order_products(orders.orders, basis, orders.n_channels)
+    products /= float(basis.dim**orders.n_channels)
+    return products
 
 
 def apply_switch(

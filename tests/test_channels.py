@@ -148,6 +148,24 @@ class TestCheckCompleteness:
         literal = sum(k.conj().T @ k for k in ops) - np.eye(shape[1])
         assert abs(check_completeness(ops) - np.abs(literal).max()) < 1e-12
 
+    def test_block_stack_gives_the_worst_block(self):
+        # block 0 is the complete scaled Weyl family, block 1 is not
+        complete = weyl_basis(2).ops / 2.0
+        incomplete = near_complete_stack((4, 2, 2), seed=11)
+        ops = np.stack([complete, incomplete], axis=1)
+        assert ops.shape == (4, 2, 2, 2)
+        literal = [
+            np.abs(sum(k.conj().T @ k for k in ops[:, b]) - np.eye(2)).max() for b in range(2)
+        ]
+        assert literal[0] < 1e-14 < literal[1]
+        assert abs(check_completeness(ops) - max(literal)) < 1e-15
+        assert check_completeness(ops[:, :1]) < 1e-14
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2, 3), (4, 2, 2, 2, 2), (4, 2)])
+    def test_block_stack_shapes_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            check_completeness(np.zeros(shape, dtype=complex))
+
     def test_transposed_stack_matches_contiguous_copy(self):
         ops = random_stack((20, 6, 6), seed=3).transpose(0, 2, 1)
         assert not ops.flags.c_contiguous

@@ -449,7 +449,14 @@ class TestVerify:
         assert capsys.readouterr().out == ""
 
     def test_size_guard_exit_code(self, capsys, monkeypatch):
-        self._size_guard(capsys, monkeypatch, ["--channels", "4", "--dim", "3", "--mode", "all"])
+        self._size_guard(capsys, monkeypatch, ["--channels", "3", "--dim", "6", "--mode", "all"])
+
+    def test_four_channel_qutrits_over_all_orders(self, capsys):
+        # the 24 orders at d = 3 fit the byte budget
+        assert main(["verify", "--channels", "4", "--dim", "3", "--mode", "all"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["max_block_residual"] < 1e-10
+        assert row["kraus_residual"] < 1e-12
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from switchcap.channels import weyl_basis
+from switchcap.channels import check_completeness, weyl_basis
 from switchcap.errors import DimensionMismatchError, DomainError, InvalidStateError, SizeGuardError
 from switchcap.linalg import hermitian_spectrum, von_neumann_entropy
 from switchcap.switch import (
@@ -116,14 +117,11 @@ class TestBuildSwitchKraus:
     def test_two_channel_structure(self):
         basis = weyl_basis(2)
         kraus = build_switch_kraus(cyclic_orders(2), basis)
-        assert len(kraus) == 16
-        assert all(k.shape == (4, 4) for k in kraus)
+        assert kraus.shape == (16, 2, 2, 2)
         # block form: |0><0| (x) U_i U_j / 4 + |1><1| (x) U_j U_i / 4
         for idx, (i, j) in enumerate(itertools.product(range(4), repeat=2)):
-            expected = np.zeros((4, 4), dtype=complex)
-            expected[:2, :2] = basis.ops[i] @ basis.ops[j] / 4
-            expected[2:, 2:] = basis.ops[j] @ basis.ops[i] / 4
-            assert np.abs(kraus[idx] - expected).max() < 1e-14
+            assert np.abs(kraus[idx, 0] - basis.ops[i] @ basis.ops[j] / 4).max() < 1e-14
+            assert np.abs(kraus[idx, 1] - basis.ops[j] @ basis.ops[i] / 4).max() < 1e-14
 
     @pytest.mark.parametrize(
         "orders",
@@ -138,18 +136,16 @@ class TestBuildSwitchKraus:
     def test_tuple_order_for_any_orders(self, orders):
         # tuple t labels operator t in itertools.product order
         basis = weyl_basis(2)
-        n, m = orders.n_channels, orders.m_orders
+        n = orders.n_channels
         kraus = build_switch_kraus(orders, basis)
         tuples = list(itertools.product(range(4), repeat=n))
         assert len(kraus) == len(tuples)
         for k, t in zip(kraus, tuples):
-            expected = np.zeros((2 * m, 2 * m), dtype=complex)
             for l, order in enumerate(orders.orders):
                 prod = np.eye(2, dtype=complex)
                 for slot in order:
                     prod = prod @ basis.ops[t[slot]]
-                expected[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] = prod / 2**n
-            assert np.abs(k - expected).max() < 1e-14
+                assert np.abs(k[l] - prod / 2**n).max() < 1e-14
 
     @pytest.mark.parametrize(
         ("orders", "d"),
@@ -164,39 +160,43 @@ class TestBuildSwitchKraus:
         kraus = build_switch_kraus(orders, weyl_basis(d))
         n, m = orders.n_channels, orders.m_orders
         assert isinstance(kraus, np.ndarray)
-        assert kraus.shape == (d ** (2 * n), m * d, m * d)
+        assert kraus.shape == (d ** (2 * n), m, d, d)
         assert kraus.dtype == complex
         assert kraus.flags.writeable
 
     def test_three_channel_completeness(self):
-        from switchcap.channels import check_completeness
-
         kraus = build_switch_kraus(cyclic_orders(3), weyl_basis(2))
-        assert len(kraus) == 64
-        assert all(k.shape == (6, 6) for k in kraus)
+        assert kraus.shape == (64, 3, 2, 2)
         assert check_completeness(kraus) < 1e-12
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
-            check_size_guard(4, 24, 3)
+            check_size_guard(3, 6, 6)
         with pytest.raises(SizeGuardError):
-            build_switch_kraus(all_orders(4), weyl_basis(3))
+            build_switch_kraus(all_orders(3), weyl_basis(6))
 
     @pytest.mark.parametrize(
         ("n_channels", "mode", "dim", "admitted"),
         [
-            (4, "all", 2, True),  # 9.4 MiB
-            (4, "cyclic", 3, True),  # 18 MiB
-            (3, "all", 5, True),  # 250 MiB
-            (2, "cyclic", 11, True),  # 162 MiB
-            (2, "cyclic", 12, False),  # 273 MiB
-            (2, "cyclic", 16, False),  # 1.5 GiB
-            (3, "cyclic", 6, False),  # 308 MiB
-            (4, "cyclic", 4, False),  # 320 MiB
+            (4, "all", 2, True),  # 0.9 MiB
+            (4, "cyclic", 3, True),  # 7.2 MiB
+            (4, "all", 3, True),  # 44 MiB
+            (5, "all", 2, True),  # 18.5 MiB
+            (3, "all", 5, True),  # 72 MiB
+            (2, "cyclic", 11, True),  # 109 MiB
+            (2, "cyclic", 12, True),  # 184 MiB
+            (3, "cyclic", 6, True),  # 154 MiB
+            (4, "cyclic", 4, True),  # 128 MiB
+            (2, "cyclic", 13, False),  # 296 MiB
+            (2, "cyclic", 16, False),  # 1.0 GiB
+            (3, "all", 6, False),  # 308 MiB
+            (5, "all", 3, False),  # 1.9 GiB
+            (5, "cyclic", 4, False),  # 2.5 GiB
         ],
     )
     def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
-        # Kraus stack plus order products: d^(2N) ((M d)^2 + M d^2) complex entries.
+        # Order products, their conjugate copy and their Gram product:
+        # 2 d^(2N) M d^2 + (M d^2)^2 complex entries.
         orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
         if admitted:
             check_size_guard(orders.n_channels, orders.m_orders, dim)
@@ -206,16 +206,16 @@ class TestBuildSwitchKraus:
 
     def test_size_guard_decisions_on_a_grid(self):
         # Largest admitted M in 1..130 for each (N, d), N in 2..15 and d in
-        # 1..16, as decided by the guard's earlier base-10 logarithm estimate.
+        # 1..16, from 16 M d^2 (2 d^(2N) + M d^2) bytes against 2^28.
         # d = 1 and the pairs in all_m admit every M; the other pairs admit none.
         largest = {
-            (2, 4): 63, (2, 5): 32, (2, 6): 18, (2, 7): 11, (2, 8): 7, (2, 9): 5,
-            (2, 10): 3, (2, 11): 2, (2, 12): 1, (2, 13): 1, (2, 14): 1,
-            (3, 3): 50, (3, 4): 15, (3, 5): 6, (3, 6): 2, (3, 7): 1,
-            (4, 2): 127, (4, 3): 16, (4, 4): 3, (5, 2): 63, (5, 3): 5,
-            (6, 2): 31, (6, 3): 1, (7, 2): 15, (8, 2): 7, (9, 2): 3, (10, 2): 1,
+            (2, 6): 83, (2, 7): 47, (2, 8): 26, (2, 9): 14, (2, 10): 8, (2, 11): 4,
+            (2, 12): 2, (2, 13): 1, (2, 14): 1,
+            (3, 4): 106, (3, 5): 21, (3, 6): 4, (3, 7): 1,
+            (4, 4): 7, (5, 3): 15, (6, 3): 1,
+            (7, 2): 126, (8, 2): 31, (9, 2): 7, (10, 2): 1,
         }
-        all_m = {(2, 2), (2, 3), (3, 2)}
+        all_m = {(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)}
         for n, d in itertools.product(range(2, 16), range(1, 17)):
             bound = 130 if d == 1 or (n, d) in all_m else largest.get((n, d), 0)
             for m in range(1, 131):
@@ -231,13 +231,13 @@ class TestBuildSwitchKraus:
         for n in (10**400, 15):
             with pytest.raises(SizeGuardError, match=f"over 2\\^{2 * n} bytes"):
                 check_size_guard(n, 1, 2)
-        # 3^28 (3000^2 + 9000) 16 bytes is past 2^63: a numpy d is counted as a Python int
-        with pytest.raises(SizeGuardError, match="3.30e\\+21 bytes"):
-            check_size_guard(14, 1000, np.int64(3))
+        # 16 (9 10^4) (2 3^28 + 9 10^4) bytes is past 2^63: a numpy d is counted as a Python int
+        with pytest.raises(SizeGuardError, match="6.59e\\+19 bytes"):
+            check_size_guard(14, 10**4, np.int64(3))
 
     @pytest.mark.parametrize(
         ("m", "dim", "bits"),
-        [(10**200, 2, 1339), (2, 10**300, 5987)],
+        [(10**200, 2, 1337), (2, 10**300, 5986)],
         ids=["huge-m", "huge-d"],
     )
     def test_size_guard_message_past_the_float_range(self, m, dim, bits):
@@ -250,9 +250,35 @@ class TestBuildSwitchKraus:
         with pytest.raises(SizeGuardError) as caught:
             check_size_guard(2, 2, 16)
         assert str(caught.value) == (
-            "N=2, d=16, M=2 needs ~1.61e+09 bytes of Kraus operators "
-            "and order products (budget 2.68e+08)"
+            "N=2, d=16, M=2 needs ~1.08e+09 bytes of order products "
+            "and their switch map (budget 2.68e+08)"
         )
+
+    @pytest.mark.parametrize(
+        ("orders", "d"),
+        [(cyclic_orders(4), 3), (all_orders(4), 2), (all_orders(3), 5)],
+        ids=["cyclic4-d3", "all4-d2", "all3-d5"],
+    )
+    def test_size_guard_predicts_the_peak(self, orders, d):
+        # the guard's count is the larger tracemalloc peak of the switch map
+        # and of the Kraus completeness check, within 10 %
+        basis = weyl_basis(d)
+        amplitudes = ControlAmplitudes.uniform(orders.m_orders)
+        rho = np.eye(d, dtype=complex) / d
+        runs = [
+            lambda: apply_switch(orders, basis, amplitudes, rho),
+            lambda: check_completeness(build_switch_kraus(orders, basis)),
+        ]
+        peaks = []
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        guard = check_size_guard(orders.n_channels, orders.m_orders, d)
+        assert 0.9 * guard <= max(peaks) <= 1.1 * guard
 
 
 class TestApplySwitch:
@@ -344,7 +370,12 @@ def kraus_sum_output(orders, basis, amplitudes, rho):
     """sum_t K_t (c c^T (x) rho) K_t^dagger over the literal switch Kraus operators."""
     c = amplitudes.as_array()
     joint = np.kron(np.outer(c, c), rho)
-    kraus = build_switch_kraus(orders, basis)
+    blocks = build_switch_kraus(orders, basis)
+    # each operator expanded from its control blocks to block-diagonal form
+    m, d = orders.m_orders, basis.dim
+    kraus = np.zeros((len(blocks), m * d, m * d), dtype=complex)
+    for l in range(m):
+        kraus[:, l * d : (l + 1) * d, l * d : (l + 1) * d] = blocks[:, l]
     return (kraus @ joint @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
@@ -428,6 +459,11 @@ class TestHolevoOracle:
     def test_all_orders_four_channels_qubit_pinned(self):
         got = holevo_oracle(all_orders(4), weyl_basis(2), n_samples=64, seed=42)
         assert got == pytest.approx(0.15327451815292115, abs=1e-9)
+
+    def test_all_orders_five_channels_qubit(self):
+        # the rate over all 120 orders, against the independent pair-rule value
+        got = holevo_oracle(all_orders(5), weyl_basis(2))
+        assert got == pytest.approx(0.1924, abs=5e-5)
 
     def test_single_order_transmits_nothing(self):
         orders = OrderSet(orders=((0, 1),))
