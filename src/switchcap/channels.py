@@ -14,6 +14,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import DimensionMismatchError, DimensionOutOfRangeError
+from .linalg import gram
 
 MIN_DIM = 2
 MAX_DIM = 16
@@ -97,13 +98,11 @@ def check_completeness(kraus: ArrayLike) -> float:
             f"expected a (K, n, n) or (K, B, n, n) stack of Kraus operators, got shape {ops.shape}"
         )
     dim = ops.shape[2]
-    # Conjugating the stack would copy it, so each block's Gram product runs
-    # on its real view (a copy of that block only when B > 1): column 2a of
-    # ``r`` is Re K[:, b, :, a] and column 2a+1 is Im.
-    residual = 0.0
-    for block in ops.transpose(1, 0, 2, 3):
-        r = block.view(np.float64).reshape(-1, 2 * dim)
-        g = r.T @ r
-        total = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
-        residual = max(residual, float(np.abs(total - np.eye(dim)).max()))
-    return residual
+    # Block b's sum_i K_ib^dagger K_ib is the Gram of the (K n, n) array of
+    # its operators' rows.  That array is a view at B = 1 and a copy of one
+    # block at B > 1, released before the next block is copied; the stack
+    # itself is never conjugated.
+    return max(
+        float(np.abs(gram(block.reshape(-1, dim)) - np.eye(dim)).max())
+        for block in ops.transpose(1, 0, 2, 3)
+    )

@@ -76,10 +76,6 @@ FORMATS = {
 
 
 def _validate_grid(dims: tuple[int, ...], orders: tuple[int, ...]) -> None:
-    if not dims:
-        raise DomainError("empty dimension list")
-    if not orders:
-        raise DomainError("empty order list")
     lo, hi = DIM_RANGE
     for d in dims:
         if not lo <= d <= hi:

@@ -75,6 +75,29 @@ def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     return values
 
 
+def gram(x: np.ndarray) -> np.ndarray:
+    """The Gram matrix ``x^dagger x`` of a (K, n) complex array, shape (n, n).
+
+    The product runs on the float64 view of ``x`` (of its C-contiguous copy
+    when ``x`` is not one), so ``x`` is never conjugated into a second
+    array: column 2a of the view is Re x[:, a] and column 2a+1 is Im, and
+    one real BLAS product holds every sum.  Beyond ``x`` it holds that
+    (2n, 2n) real product and the complex result, 48 n^2 bytes.
+    """
+    x = np.ascontiguousarray(x, dtype=complex)
+    n = x.shape[1]
+    r = x.view(np.float64)
+    # With g = r^T r, entry (a, b) is g[2a, 2b] + g[2a+1, 2b+1]
+    # + i (g[2a, 2b+1] - g[2a+1, 2b]).  Each part is a reduction over a
+    # length-2 axis of views of g: an elementwise sum of the strided
+    # quarters would allocate NumPy's iteration buffers, ~128 KiB.
+    pairs = (r.T @ r).reshape(n, 2, n, 2)
+    out = np.empty((n, n), dtype=complex)
+    np.add.reduce(pairs.diagonal(axis1=1, axis2=3), axis=-1, out=out.real)
+    np.subtract.reduce(pairs[..., ::-1].diagonal(axis1=1, axis2=3), axis=-1, out=out.imag)
+    return out
+
+
 def validate_spectrum(values: np.ndarray) -> None:
     """Raise unless ``values`` is a density-matrix spectrum.
 

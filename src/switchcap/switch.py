@@ -11,9 +11,12 @@ U_{t_k} to channel k, the switch Kraus operator is
 
 summed over the M orders l.  The joint output on (control (x) target) is the
 Kraus sum over all d^(2N) index tuples.  It is linear in the target state
-rho, so the simulator contracts the tuple sum once into a superoperator S
-with S @ vec(rho) = vec of the output before amplitude scaling, and takes
-every output block and sampled rate from S.  Everything is summed in a
+rho, so the simulator contracts the tuple sum once into a superoperator
+S = sum_t K_t (x) conj(K_t), with S @ vec(rho) = vec of the output before
+amplitude scaling, and takes every output block and sampled rate from S.
+S is the Gram matrix of the Kraus family, each operator one row of its M
+control blocks, rearranged; ``linalg.gram`` computes it without a
+conjugate copy, as it does the completeness sum.  Everything is summed in a
 fixed deterministic sequence, so results are bit-stable.
 """
 
@@ -22,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .errors import (
     InvalidStateError,
     SizeGuardError,
 )
-from .linalg import hermitian_spectrum, validate_density_matrix, von_neumann_entropy
+from .linalg import gram, hermitian_spectrum, validate_density_matrix, von_neumann_entropy
 
 # Largest channel count for full permutation enumeration.
 MAX_FACTORIAL_CHANNELS = 5
@@ -180,10 +182,13 @@ def _bytes_text(size: int) -> str:
 def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
     """Reject brute-force requests whose arrays exceed the byte budget.
 
-    The peak is the switch map's: d^(2N) order products of M*d^2 complex
-    entries, their conjugate copy and their Gram product, so the count is
-    16 M d^2 (2 d^(2N) + M d^2) bytes, an exact integer returned when it
-    fits; the Kraus blocks stay below it.  At d >= 2 an N with 2N past the
+    The d^(2N) switch Kraus operators hold M*d^2 complex entries each.  The
+    peak holds them and the larger of two transients: one block of d^(2N)
+    d x d matrices (the broadcast chain they are copied from, or the block
+    ``check_completeness`` copies), or the switch map's Gram product, a
+    (2 M d^2)^2 real array and its (M d^2)^2 complex result.  So the count
+    is 16 d^(2N) M d^2 + max(16 d^(2N) d^2, 48 (M d^2)^2) bytes, an exact
+    integer returned when it fits.  At d >= 2 an N with 2N past the
     budget's bit length is refused first, as its 2^(2N) products alone pass
     the budget, so d^(2N) is never built as a huge integer.
     """
@@ -193,7 +198,8 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
             f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of order "
             f"products (budget {BYTE_BUDGET:.2e})"
         )
-    size = 16 * m_orders * dim**2 * (2 * dim ** (2 * n_channels) + m_orders * dim**2)
+    tuples, width = dim ** (2 * n_channels), m_orders * dim**2
+    size = 16 * tuples * width + max(16 * tuples * dim**2, 48 * width**2)
     if size > BYTE_BUDGET:
         raise SizeGuardError(
             f"N={n_channels}, d={dim}, M={m_orders} needs ~{_bytes_text(size)} bytes of order "
@@ -215,48 +221,41 @@ def check_oracle_size(orders: OrderSet, dim: int, n_samples: int) -> None:
         )
 
 
-def _order_products(
-    order_list: Sequence[Permutation], basis: UnitaryBasis, n_channels: int
-) -> np.ndarray:
-    """Per-tuple composed unitaries, shape (d^(2N), M, d, d).
+def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
+    """The d^(2N) switch Kraus operators as their control blocks, shape (d^(2N), M, d, d).
 
+    Operator t is block-diagonal over the control; its block l is the basis
+    unitaries for tuple t composed in the l-th causal order, over d^N.
     Tuples run row-major over the channels, the order ``itertools.product``
     lists them.  The chain of products U_a0 U_a1 ... U_a(N-1), axis k for
     factor k, is broadcast once; an order puts channel ``order[k]`` in
-    factor k, so its stack is the chain transposed into channel order.
+    factor k, so its blocks are the chain transposed into channel order.
     """
-    m = len(order_list)
-    check_size_guard(n_channels, m, basis.dim)
-    d = basis.dim
+    n, m, d = orders.n_channels, orders.m_orders, basis.dim
+    check_size_guard(n, m, d)
     chain = basis.ops
-    for _ in range(n_channels - 1):
+    for _ in range(n - 1):
         chain = chain[..., None, :, :] @ basis.ops
-    products = np.empty((d ** (2 * n_channels), m, d, d), dtype=chain.dtype)
-    by_channel = products.reshape(chain.shape[:-2] + (m, d, d))
-    for l, order in enumerate(order_list):
-        by_channel[..., l, :, :] = chain.transpose(*np.argsort(order), n_channels, n_channels + 1)
-    return products
+    blocks = np.empty((d ** (2 * n), m, d, d), dtype=chain.dtype)
+    by_channel = blocks.reshape(chain.shape[:-2] + (m, d, d))
+    for l, order in enumerate(orders.orders):
+        by_channel[..., l, :, :] = chain.transpose(*np.argsort(order), n, n + 1)
+    blocks /= float(d**n)
+    return blocks
 
 
-def _switch_map(
-    order_list: Sequence[Permutation], basis: UnitaryBasis, n_channels: int
-) -> np.ndarray:
+def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     """Superoperator of the switch before amplitude scaling, shape ((M*d)^2, d^2).
 
     Row (i, a, j, c) and column (b, e), both row-major, hold
-    (1/d^2N) sum_t P_i(t)[a, b] conj(P_j(t)[c, e]), so ``S @ rho.ravel()``
-    is the raveled (M*d, M*d) output whose (i, j) block is
-    (1/d^2N) sum_t P_i(t) rho P_j(t)^dagger.
+    sum_t K_ti[a, b] conj(K_tj[c, e]) over the Kraus blocks K_ti, so
+    ``S @ rho.ravel()`` is the raveled (M*d, M*d) output whose (i, j) block
+    is sum_t K_ti rho K_tj^dagger.  That sum is entry ((j, c, e), (i, a, b))
+    of the blocks' Gram matrix, each operator one row of M*d^2 entries.
     """
-    d = basis.dim
-    m = len(order_list)
-    products = _order_products(order_list, basis, n_channels)
-    flat = products.reshape(len(products), m * d * d)
-    gram = flat.T @ flat.conj()
-    gram /= float(len(products))
-    return gram.reshape(m, d, d, m, d, d).transpose(0, 1, 3, 4, 2, 5).reshape(
-        (m * d) ** 2, d * d
-    )
+    d, m = basis.dim, orders.m_orders
+    g = gram(build_switch_kraus(orders, basis).reshape(-1, m * d * d))
+    return g.reshape(m, d, d, m, d, d).transpose(3, 4, 0, 1, 5, 2).reshape((m * d) ** 2, d * d)
 
 
 def _output_states(
@@ -268,17 +267,6 @@ def _output_states(
     raw = (rhos.reshape(k, d * d) @ switch_map.T).reshape(k, m, d, m, d)
     raw *= np.outer(amplitudes, amplitudes)[:, None, :, None]
     return raw.reshape(k, m * d, m * d)
-
-
-def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
-    """The d^(2N) switch Kraus operators as their control blocks, shape (d^(2N), M, d, d).
-
-    Operator t is block-diagonal over the control; its block l is the basis
-    unitaries for tuple t composed in the l-th causal order, over d^N.
-    """
-    products = _order_products(orders.orders, basis, orders.n_channels)
-    products /= float(basis.dim**orders.n_channels)
-    return products
 
 
 def apply_switch(
@@ -303,7 +291,7 @@ def apply_switch(
         raise DimensionMismatchError(
             f"{len(amplitudes)} amplitudes for {orders.m_orders} orders"
         )
-    switch_map = _switch_map(orders.orders, basis, orders.n_channels)
+    switch_map = _switch_map(orders, basis)
     (state,) = _output_states(switch_map, amplitudes.as_array(), rho[None])
     return SwitchOutput(m_orders=orders.m_orders, dim=d, state=state)
 
@@ -343,7 +331,7 @@ def holevo_oracle(
     """
     d = basis.dim
     check_oracle_size(orders, d, n_samples)
-    switch_map = _switch_map(orders.orders, basis, orders.n_channels)
+    switch_map = _switch_map(orders, basis)
     amplitudes = ControlAmplitudes.uniform(orders.m_orders).as_array()
 
     rng = np.random.default_rng(seed)

@@ -182,6 +182,18 @@ class TestCheckCompleteness:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_memory_holds_one_block_copy_at_a_time(self):
+        # each block of a (K, 2, n, n) stack is copied for its Gram product;
+        # the first copy is released before the second is made
+        ops = random_stack((4096, 2, 8, 8), seed=6)
+        tracemalloc.start()
+        try:
+            check_completeness(ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * ops.nbytes
+
 
 def random_stack(shape, seed):
     rng = np.random.default_rng(seed)

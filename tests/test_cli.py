@@ -307,7 +307,11 @@ class TestSweep:
         assert doc["rows"][0]["chi_bits"] == pytest.approx(0.0488, abs=1e-4)
 
     def test_empty_dims_is_argument_error(self, capsys):
+        # parse_int_list refuses an empty list, for dims and orders alike
         assert main(["sweep", "--dims", ",", "--orders", "2"]) == 2
+        assert "no integers in ','" in capsys.readouterr().err
+        assert main(["table", "--dims", "2", "--orders", " , "]) == 2
+        assert "no integers in ' , '" in capsys.readouterr().err
 
     def test_unwritable_path(self, capsys):
         code = main(
@@ -449,7 +453,7 @@ class TestVerify:
         assert capsys.readouterr().out == ""
 
     def test_size_guard_exit_code(self, capsys, monkeypatch):
-        self._size_guard(capsys, monkeypatch, ["--channels", "3", "--dim", "6", "--mode", "all"])
+        self._size_guard(capsys, monkeypatch, ["--channels", "5", "--dim", "3", "--mode", "all"])
 
     def test_four_channel_qutrits_over_all_orders(self, capsys):
         # the 24 orders at d = 3 fit the byte budget

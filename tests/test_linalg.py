@@ -1,5 +1,7 @@
 """Tests for the dense linear algebra primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from switchcap.errors import (
     NotHermitianError,
 )
 from switchcap.linalg import (
+    gram,
     hermitian_spectrum,
     partial_trace,
     validate_density_matrix,
@@ -22,6 +25,37 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 # -sum(p log2 p) for {5/8, 3/8}, evaluated with 40-digit arithmetic.
 ENTROPY_5_8 = 0.95443400292496496
+
+
+def random_complex(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestGram:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (200, 12), (5, 40)])
+    def test_matches_conjugate_product(self, shape):
+        x = random_complex(shape, seed=sum(shape))
+        g = gram(x)
+        assert g.shape == (shape[1], shape[1])
+        assert g.dtype == complex
+        assert np.abs(g - x.conj().T @ x).max() < 1e-12 * shape[0]
+
+    def test_non_contiguous_matches_contiguous_copy(self):
+        x = random_complex((9, 30), seed=4).T
+        assert not x.flags.c_contiguous
+        assert np.array_equal(gram(x), gram(np.ascontiguousarray(x)))
+
+    def test_memory_does_not_copy_the_input(self):
+        x = random_complex((2**17, 8), seed=5)
+        assert x.flags.c_contiguous and x.nbytes == 16 * 2**20
+        tracemalloc.start()
+        try:
+            gram(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestHermitianSpectrum:

@@ -171,32 +171,32 @@ class TestBuildSwitchKraus:
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
-            check_size_guard(3, 6, 6)
+            check_size_guard(5, 120, 3)
         with pytest.raises(SizeGuardError):
-            build_switch_kraus(all_orders(3), weyl_basis(6))
+            build_switch_kraus(all_orders(5), weyl_basis(3))
 
     @pytest.mark.parametrize(
         ("n_channels", "mode", "dim", "admitted"),
         [
-            (4, "all", 2, True),  # 0.9 MiB
-            (4, "cyclic", 3, True),  # 7.2 MiB
-            (4, "all", 3, True),  # 44 MiB
-            (5, "all", 2, True),  # 18.5 MiB
-            (3, "all", 5, True),  # 72 MiB
-            (2, "cyclic", 11, True),  # 109 MiB
-            (2, "cyclic", 12, True),  # 184 MiB
-            (3, "cyclic", 6, True),  # 154 MiB
-            (4, "cyclic", 4, True),  # 128 MiB
-            (2, "cyclic", 13, False),  # 296 MiB
-            (2, "cyclic", 16, False),  # 1.0 GiB
-            (3, "all", 6, False),  # 308 MiB
-            (5, "all", 3, False),  # 1.9 GiB
-            (5, "cyclic", 4, False),  # 2.5 GiB
+            (4, "all", 2, True),  # 0.8 MiB
+            (4, "cyclic", 3, True),  # 4.5 MiB
+            (4, "all", 3, True),  # 24 MiB
+            (5, "all", 2, True),  # 18 MiB
+            (3, "all", 5, True),  # 42 MiB
+            (2, "cyclic", 11, True),  # 81 MiB
+            (2, "cyclic", 12, True),  # 137 MiB
+            (3, "cyclic", 6, True),  # 103 MiB
+            (4, "cyclic", 4, True),  # 80 MiB
+            (2, "cyclic", 13, True),  # 221 MiB
+            (2, "cyclic", 16, False),  # 768 MiB
+            (3, "all", 6, True),  # 179 MiB
+            (5, "all", 3, False),  # 1.0 GiB
+            (5, "cyclic", 4, False),  # 1.5 GiB
         ],
     )
     def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
-        # Order products, their conjugate copy and their Gram product:
-        # 2 d^(2N) M d^2 + (M d^2)^2 complex entries.
+        # Order products plus the larger of one block and the Gram product:
+        # 16 d^(2N) M d^2 + max(16 d^(2N) d^2, 48 (M d^2)^2) bytes.
         orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
         if admitted:
             check_size_guard(orders.n_channels, orders.m_orders, dim)
@@ -206,16 +206,17 @@ class TestBuildSwitchKraus:
 
     def test_size_guard_decisions_on_a_grid(self):
         # Largest admitted M in 1..130 for each (N, d), N in 2..15 and d in
-        # 1..16, from 16 M d^2 (2 d^(2N) + M d^2) bytes against 2^28.
-        # d = 1 and the pairs in all_m admit every M; the other pairs admit none.
+        # 1..16, from 16 d^(2N) M d^2 + max(16 d^(2N) d^2, 48 (M d^2)^2) bytes
+        # against 2^28.  d = 1 and the pairs in all_m admit every M; the other
+        # pairs admit none.
         largest = {
-            (2, 6): 83, (2, 7): 47, (2, 8): 26, (2, 9): 14, (2, 10): 8, (2, 11): 4,
-            (2, 12): 2, (2, 13): 1, (2, 14): 1,
-            (3, 4): 106, (3, 5): 21, (3, 6): 4, (3, 7): 1,
-            (4, 4): 7, (5, 3): 15, (6, 3): 1,
-            (7, 2): 126, (8, 2): 31, (9, 2): 7, (10, 2): 1,
+            (2, 5): 90, (2, 6): 59, (2, 7): 40, (2, 8): 27, (2, 9): 18, (2, 10): 12,
+            (2, 11): 7, (2, 12): 4, (2, 13): 2, (2, 14): 1,
+            (3, 4): 111, (3, 5): 36, (3, 6): 8, (3, 7): 1,
+            (4, 4): 15, (5, 3): 30, (6, 3): 2,
+            (8, 2): 63, (9, 2): 15, (10, 2): 3,
         }
-        all_m = {(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)}
+        all_m = {(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2)}
         for n, d in itertools.product(range(2, 16), range(1, 17)):
             bound = 130 if d == 1 or (n, d) in all_m else largest.get((n, d), 0)
             for m in range(1, 131):
@@ -231,13 +232,13 @@ class TestBuildSwitchKraus:
         for n in (10**400, 15):
             with pytest.raises(SizeGuardError, match=f"over 2\\^{2 * n} bytes"):
                 check_size_guard(n, 1, 2)
-        # 16 (9 10^4) (2 3^28 + 9 10^4) bytes is past 2^63: a numpy d is counted as a Python int
-        with pytest.raises(SizeGuardError, match="6.59e\\+19 bytes"):
+        # 16 3^28 (9 10^4) + 16 3^28 9 bytes is past 2^63: a numpy d is counted as a Python int
+        with pytest.raises(SizeGuardError, match="3.29e\\+19 bytes"):
             check_size_guard(14, 10**4, np.int64(3))
 
     @pytest.mark.parametrize(
         ("m", "dim", "bits"),
-        [(10**200, 2, 1337), (2, 10**300, 5986)],
+        [(10**200, 2, 1339), (2, 10**300, 5986)],
         ids=["huge-m", "huge-d"],
     )
     def test_size_guard_message_past_the_float_range(self, m, dim, bits):
@@ -250,14 +251,20 @@ class TestBuildSwitchKraus:
         with pytest.raises(SizeGuardError) as caught:
             check_size_guard(2, 2, 16)
         assert str(caught.value) == (
-            "N=2, d=16, M=2 needs ~1.08e+09 bytes of order products "
+            "N=2, d=16, M=2 needs ~8.05e+08 bytes of order products "
             "and their switch map (budget 2.68e+08)"
         )
 
     @pytest.mark.parametrize(
         ("orders", "d"),
-        [(cyclic_orders(4), 3), (all_orders(4), 2), (all_orders(3), 5)],
-        ids=["cyclic4-d3", "all4-d2", "all3-d5"],
+        [
+            (cyclic_orders(4), 3),
+            (all_orders(4), 2),
+            (all_orders(3), 5),
+            (cyclic_orders(2), 12),  # block-bound: M = 2
+            (all_orders(5), 2),  # Gram-bound: M = 120
+        ],
+        ids=["cyclic4-d3", "all4-d2", "all3-d5", "cyclic2-d12", "all5-d2"],
     )
     def test_size_guard_predicts_the_peak(self, orders, d):
         # the guard's count is the larger tracemalloc peak of the switch map
