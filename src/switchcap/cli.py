@@ -167,6 +167,16 @@ def _cyclic_mask(orders: OrderSet) -> np.ndarray:
     return ids[:, None] == ids[None, :]
 
 
+def _block_residual(
+    orders: OrderSet, basis: UnitaryBasis, amplitudes: ControlAmplitudes, rho: np.ndarray
+) -> np.ndarray:
+    """(M, M) largest entry deviation of each output block from the closed form."""
+    m, dim = orders.m_orders, basis.dim
+    produced = apply_switch(orders, basis, amplitudes, rho)
+    predicted = analytic_output_state(rho, m, amplitudes)
+    return np.abs(produced.state - predicted).reshape(m, dim, m, dim).max(axis=(1, 3))
+
+
 def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int) -> dict:
     """Compare one switch configuration against the closed-form output.
 
@@ -190,12 +200,10 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     inputs = [pure, random_density_matrix(dim, rng), np.eye(dim, dtype=complex) / dim]
 
     related = _cyclic_mask(orders)
+    # Each input's output states are released before the next stage.
     residual = np.zeros((m, m))
     for rho in inputs:
-        produced = apply_switch(orders, basis, amplitudes, rho)
-        predicted = analytic_output_state(rho, m, amplitudes)
-        delta = np.abs(produced.state - predicted).reshape(m, dim, m, dim).max(axis=(1, 3))
-        residual = np.maximum(residual, delta)
+        residual = np.maximum(residual, _block_residual(orders, basis, amplitudes, rho))
     max_block_residual = float(residual[related].max())
 
     kraus_residual = check_completeness(build_switch_kraus(orders, basis))

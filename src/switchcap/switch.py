@@ -14,9 +14,10 @@ Kraus sum over all d^(2N) index tuples.  It is linear in the target state
 rho, so the simulator contracts the tuple sum once into a superoperator
 S = sum_t K_t (x) conj(K_t), with S @ vec(rho) = vec of the output before
 amplitude scaling, and takes every output block and sampled rate from S.
-S is the Gram matrix of the Kraus family, each operator one row of its M
-control blocks, rearranged; ``linalg.gram`` computes it without a
-conjugate copy, as it does the completeness sum.  Everything is summed in a
+Each channel's index appears once in K_t and once in conj(K_t), so S is
+built channel by channel, one contraction per relative permutation of the
+order pairs, and the d^(2N) tuples are never enumerated for it; the Kraus
+family is built only for the completeness check.  Everything is summed in a
 fixed deterministic sequence, so results are bit-stable.
 """
 
@@ -44,9 +45,9 @@ MAX_FACTORIAL_CHANNELS = 5
 # one spectrum, ~0.1 ms at M*d = 4, so the cap keeps the loop near 10 s.
 MAX_ORACLE_SAMPLES = 10**5
 
-# Bytes one brute-force array family may take: the switch map's peak arrays
-# (check_size_guard), or the oracle's sampled output states, one complex
-# (M*d, M*d) matrix per sample: ~7000 samples (~3 s) at N=4, d=2, M=24
+# Bytes one brute-force array family may take: the peak arrays of the
+# products, the switch map and its use (check_size_guard), or the oracle's
+# sampled inputs, one complex d x d matrix per sample, with one output state
 # (check_oracle_size).
 BYTE_BUDGET = 2**28
 
@@ -179,27 +180,51 @@ def _bytes_text(size: int) -> str:
     return f"{size:.2e}" if bits < 1024 else f"2^{bits}"
 
 
+def _relative_order_bound(n_channels: int, m_orders: int) -> int:
+    """min(M (M - 1) + 1, N!), a bound on the distinct relative permutations.
+
+    The diagonal pairs share the identity.  N! is built only while it stays
+    below the other bound, so a huge N costs a few steps.
+    """
+    bound, factorial = m_orders * (m_orders - 1) + 1, 1
+    for k in range(2, n_channels + 1):
+        factorial *= k
+        if factorial >= bound:
+            return bound
+    return factorial
+
+
 def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
     """Reject brute-force requests whose arrays exceed the byte budget.
 
-    The d^(2N) switch Kraus operators hold M*d^2 complex entries each.  The
-    peak holds them and the larger of two transients: one block of d^(2N)
-    d x d matrices (the broadcast chain they are copied from, or the block
-    ``check_completeness`` copies), or the switch map's Gram product, a
-    (2 M d^2)^2 real array and its (M d^2)^2 complex result.  So the count
-    is 16 d^(2N) M d^2 + max(16 d^(2N) d^2, 48 (M d^2)^2) bytes, an exact
-    integer returned when it fits.  At d >= 2 an N with 2N past the
-    budget's bit length is refused first, as its 2^(2N) products alone pass
-    the budget, so d^(2N) is never built as a huge integer.
+    A request peaks in one of three places, and the count is the largest,
+    an exact integer returned when it fits:
+
+    * the Kraus completeness check holds the d^(2N) order products of
+      M d^2 complex entries each and one copied block, 16 d^(2N) d^2 (M + 1)
+      bytes;
+    * the switch map's contraction holds its chain state, a factor and
+      their product, 48 P d^(N+3) bytes for P distinct relative
+      permutations, at most min(M (M - 1) + 1, N!);
+    * the oracle holds the map's (M d^2)^2 entries, one (M d)^2 output state
+      and the three copies ``hermitian_spectrum`` makes of it,
+      16 (M d)^2 (d^2 + 4) bytes.
+
+    At d >= 2 an N with 2N past the budget's bit length is refused first,
+    as its 2^(2N) products alone pass the budget, so d^(2N) is never built
+    as a huge integer.
     """
-    dim = int(dim)
+    dim, m = int(dim), int(m_orders)
     if dim > 1 and 2 * n_channels > BYTE_BUDGET.bit_length():
         raise SizeGuardError(
             f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of order "
             f"products (budget {BYTE_BUDGET:.2e})"
         )
-    tuples, width = dim ** (2 * n_channels), m_orders * dim**2
-    size = 16 * tuples * width + max(16 * tuples * dim**2, 48 * width**2)
+    size = max(
+        16 * dim ** (2 * n_channels) * dim**2 * (m + 1),
+        48 * _relative_order_bound(n_channels, m) * dim ** (n_channels + 3),
+        16 * (m * dim) ** 2 * (dim**2 + 4),
+    )
     if size > BYTE_BUDGET:
         raise SizeGuardError(
             f"N={n_channels}, d={dim}, M={m_orders} needs ~{_bytes_text(size)} bytes of order "
@@ -209,15 +234,16 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
 
 
 def check_oracle_size(orders: OrderSet, dim: int, n_samples: int) -> None:
-    """Reject a sample count out of range or a sample stack above budget."""
+    """Reject a sample count out of range, or inputs and a state above budget."""
     if not 1 <= n_samples <= MAX_ORACLE_SAMPLES:
         raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
     # The d basis states are always sampled, plus the maximally mixed input.
-    size = (max(n_samples, dim) + 1) * (orders.m_orders * dim) ** 2 * 16
+    # The inputs are held together and their output states one at a time.
+    size = ((max(n_samples, dim) + 1) * dim**2 + (orders.m_orders * dim) ** 2) * 16
     if size > BYTE_BUDGET:
         raise SizeGuardError(
             f"{n_samples} samples at d={dim}, M={orders.m_orders} need "
-            f"~{_bytes_text(size)} bytes of output states (budget {BYTE_BUDGET:.2e})"
+            f"~{_bytes_text(size)} bytes of input and output states (budget {BYTE_BUDGET:.2e})"
         )
 
 
@@ -250,23 +276,73 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     Row (i, a, j, c) and column (b, e), both row-major, hold
     sum_t K_ti[a, b] conj(K_tj[c, e]) over the Kraus blocks K_ti, so
     ``S @ rho.ravel()`` is the raveled (M*d, M*d) output whose (i, j) block
-    is sum_t K_ti rho K_tj^dagger.  That sum is entry ((j, c, e), (i, a, b))
-    of the blocks' Gram matrix, each operator one row of M*d^2 entries.
+    is sum_t K_ti rho K_tj^dagger.
+
+    Channel k's index t_k appears once in K_ti and once in conj(K_tj), so
+    the tuple sum is a contraction of one twirl tensor per channel,
+    W[a, b, c, e] = (1/d^2) sum_u U_u[a, b] conj(U_u[c, e]), taken from the
+    basis operators as they are.  The channel at position p of order i is
+    at position q = pi(p) of order j and joins (x_p, x_p+1) of the x chain
+    to (y_q, y_q+1) of the y chain, with x_0 = a, x_N = b, y_0 = c and
+    y_N = e (the graphical calculus of Wood, Biamonte and Cory, Quantum
+    Inf. Comput. 15, 759 (2015)).  Every channel has the same W, so a block
+    depends only on its relative permutation pi, and each distinct pi is
+    contracted once: a state over (pi, y_0..y_N, x_0, x_p) takes factor p
+    in one batched d x d product, and the inner y are summed at the end.
     """
-    d, m = basis.dim, orders.m_orders
-    g = gram(build_switch_kraus(orders, basis).reshape(-1, m * d * d))
-    return g.reshape(m, d, d, m, d, d).transpose(3, 4, 0, 1, 5, 2).reshape((m * d) ** 2, d * d)
+    n, m, d = orders.n_channels, orders.m_orders, basis.dim
+    check_size_guard(n, m, d)
+    perms, which = _relative_orders(orders)
+    # twirl[c, e, a, b] = W[a, b, c, e]: the Gram of the flattened basis.
+    twirl = (gram(basis.ops.reshape(d * d, d * d)) / (d * d)).reshape(d, d, d, d)
+    blocks = _contract(twirl, perms).transpose(3, 0, 1, 4, 2)  # [a, pi, c, b, e]
+    # Filled one order i at a time, so no second map-sized array is held.
+    switch_map = np.empty((m, d, m, d, d, d), dtype=complex)
+    for i, row in enumerate(which):
+        switch_map[i] = blocks[:, row]
+    return switch_map.reshape((m * d) ** 2, d * d)
 
 
-def _output_states(
-    switch_map: np.ndarray, amplitudes: np.ndarray, rhos: np.ndarray
-) -> np.ndarray:
-    """Joint outputs for a stack of target states, shape (K, M*d, M*d)."""
-    m = len(amplitudes)
-    k, d, _ = rhos.shape
-    raw = (rhos.reshape(k, d * d) @ switch_map.T).reshape(k, m, d, m, d)
+def _relative_orders(orders: OrderSet) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct relative permutations of the order pairs, and which is whose.
+
+    Row pi of the (P, N) first array maps each position p of an order i to
+    the position pi(p) of the same channel in an order j.  Entry (i, j) of
+    the (M, M) second array is the row of that pair.  Each row is keyed by
+    its digits in base N, which fit an int64 for every N the byte guard
+    admits at d >= 2 (N <= 14); past N = 15 ``np.ravel_multi_index`` raises
+    rather than wraps.
+    """
+    sigma = np.array(orders.orders)
+    m, n = sigma.shape
+    inverse = np.argsort(sigma, axis=1)
+    relative = inverse[np.arange(m)[None, :, None], sigma[:, None, :]].reshape(m * m, n)
+    keys = np.ravel_multi_index(relative.T, (n,) * n)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return relative[first], which.reshape(m, m)
+
+
+def _contract(twirl: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The N-twirl network of each relative permutation, shape (P, d, d, d, d).
+
+    Entry [pi, c, e, a, b] is the network's value with x_0 = a, x_N = b,
+    y_0 = c and y_N = e.  The chain's state runs over (pi, y_0..y_N, x_0,
+    x_p), so it holds P d^(N+3) entries, as do each factor and product.
+    """
+    d, n = len(twirl), perms.shape[1]
+    y = np.indices((d,) * (n + 1)).reshape(n + 1, -1)
+    state = twirl[y[perms[:, 0]], y[perms[:, 0] + 1]]
+    for q in perms.T[1:]:
+        state = np.einsum("pyab,pybc->pyac", state, twirl[y[q], y[q + 1]])
+    return state.reshape(len(perms), d, -1, d, d, d).sum(axis=2)
+
+
+def _output_state(switch_map: np.ndarray, amplitudes: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Joint output for one target state, shape (M*d, M*d)."""
+    m, d = len(amplitudes), len(rho)
+    raw = (switch_map @ rho.ravel()).reshape(m, d, m, d)
     raw *= np.outer(amplitudes, amplitudes)[:, None, :, None]
-    return raw.reshape(k, m * d, m * d)
+    return raw.reshape(m * d, m * d)
 
 
 def apply_switch(
@@ -291,8 +367,7 @@ def apply_switch(
         raise DimensionMismatchError(
             f"{len(amplitudes)} amplitudes for {orders.m_orders} orders"
         )
-    switch_map = _switch_map(orders, basis)
-    (state,) = _output_states(switch_map, amplitudes.as_array(), rho[None])
+    state = _output_state(_switch_map(orders, basis), amplitudes.as_array(), rho)
     return SwitchOutput(m_orders=orders.m_orders, dim=d, state=state)
 
 
@@ -326,8 +401,9 @@ def holevo_oracle(
     output entropy and the value is exact, whatever the sample count; with
     another basis, adding samples can only lower the reported minimum.  A
     sample count outside [1, MAX_ORACLE_SAMPLES] raises DomainError, and one
-    whose output states exceed BYTE_BUDGET bytes raises SizeGuardError,
-    before any state is drawn.
+    whose inputs and one output state exceed BYTE_BUDGET bytes raises
+    SizeGuardError, before any state is drawn.  The output states are taken
+    one at a time.
     """
     d = basis.dim
     check_oracle_size(orders, d, n_samples)
@@ -343,7 +419,7 @@ def holevo_oracle(
         [np.eye(d, dtype=complex)[None] / d, pure[:, :, None] * pure.conj()[:, None, :]]
     )
     entropies = [
-        von_neumann_entropy(hermitian_spectrum(state))
-        for state in _output_states(switch_map, amplitudes, rhos)
+        von_neumann_entropy(hermitian_spectrum(_output_state(switch_map, amplitudes, rho)))
+        for rho in rhos
     ]
     return entropies[0] - min(entropies[1:])

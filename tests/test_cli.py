@@ -29,7 +29,7 @@ from switchcap.errors import (
     NoConvergenceError,
     NotHermitianError,
 )
-from switchcap.switch import OrderSet, all_orders, cyclically_related
+from switchcap.switch import OrderSet, all_orders, check_size_guard, cyclically_related
 
 # Mixed grid points: a single order, tiny and huge M, the smallest and largest d.
 MIXED_REPORTS = [holevo(m, d) for d in (2, 3, 16, 64) for m in (1, 2, 3, 7, 1000, 10**6)]
@@ -454,6 +454,19 @@ class TestVerify:
 
     def test_size_guard_exit_code(self, capsys, monkeypatch):
         self._size_guard(capsys, monkeypatch, ["--channels", "5", "--dim", "3", "--mode", "all"])
+
+    def test_memory_stays_within_the_guard(self, capsys):
+        # 120 orders of qubits: the oracle's 65 output states are taken one at
+        # a time, and each stage's arrays are released before the next.  A
+        # first request loads the modules numpy imports lazily.
+        assert main(["verify"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--channels", "5", "--mode", "all"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * check_size_guard(5, 120, 2)
 
     def test_four_channel_qutrits_over_all_orders(self, capsys):
         # the 24 orders at d = 3 fit the byte budget

@@ -7,14 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from switchcap.channels import check_completeness, weyl_basis
+from switchcap.channels import UnitaryBasis, check_completeness, weyl_basis
 from switchcap.errors import DimensionMismatchError, DomainError, InvalidStateError, SizeGuardError
-from switchcap.linalg import hermitian_spectrum, von_neumann_entropy
+from switchcap.linalg import gram, hermitian_spectrum, von_neumann_entropy
 from switchcap.switch import (
     BYTE_BUDGET,
     MAX_ORACLE_SAMPLES,
     ControlAmplitudes,
     OrderSet,
+    _switch_map,
     all_orders,
     apply_switch,
     build_switch_kraus,
@@ -178,10 +179,10 @@ class TestBuildSwitchKraus:
     @pytest.mark.parametrize(
         ("n_channels", "mode", "dim", "admitted"),
         [
-            (4, "all", 2, True),  # 0.8 MiB
+            (4, "all", 2, True),  # 0.4 MiB
             (4, "cyclic", 3, True),  # 4.5 MiB
-            (4, "all", 3, True),  # 24 MiB
-            (5, "all", 2, True),  # 18 MiB
+            (4, "all", 3, True),  # 22.5 MiB
+            (5, "all", 2, True),  # 7.6 MiB
             (3, "all", 5, True),  # 42 MiB
             (2, "cyclic", 11, True),  # 81 MiB
             (2, "cyclic", 12, True),  # 137 MiB
@@ -190,13 +191,15 @@ class TestBuildSwitchKraus:
             (2, "cyclic", 13, True),  # 221 MiB
             (2, "cyclic", 16, False),  # 768 MiB
             (3, "all", 6, True),  # 179 MiB
-            (5, "all", 3, False),  # 1.0 GiB
+            (5, "all", 3, False),  # 981 MiB
             (5, "cyclic", 4, False),  # 1.5 GiB
         ],
     )
     def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
-        # Order products plus the larger of one block and the Gram product:
-        # 16 d^(2N) M d^2 + max(16 d^(2N) d^2, 48 (M d^2)^2) bytes.
+        # The largest of the order products with one copied block, the
+        # contraction's three arrays and the oracle's map and four states:
+        # max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), 16 (M d)^2 (d^2 + 4)) bytes,
+        # P = min(M (M - 1) + 1, N!).  Every case here is bound by the products.
         orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
         if admitted:
             check_size_guard(orders.n_channels, orders.m_orders, dim)
@@ -206,17 +209,22 @@ class TestBuildSwitchKraus:
 
     def test_size_guard_decisions_on_a_grid(self):
         # Largest admitted M in 1..130 for each (N, d), N in 2..15 and d in
-        # 1..16, from 16 d^(2N) M d^2 + max(16 d^(2N) d^2, 48 (M d^2)^2) bytes
-        # against 2^28.  d = 1 and the pairs in all_m admit every M; the other
-        # pairs admit none.
+        # 1..16, from max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), 16 (M d)^2 (d^2 + 4))
+        # bytes with P = min(M (M - 1) + 1, N!) against 2^28.  d = 1 and the
+        # pairs in all_m admit every M; the other pairs admit none.  The
+        # oracle's term binds at (2, 6..8), the contraction's at (8, 2) and
+        # the products' everywhere else.
         largest = {
-            (2, 5): 90, (2, 6): 59, (2, 7): 40, (2, 8): 27, (2, 9): 18, (2, 10): 12,
-            (2, 11): 7, (2, 12): 4, (2, 13): 2, (2, 14): 1,
-            (3, 4): 111, (3, 5): 36, (3, 6): 8, (3, 7): 1,
+            (2, 6): 107, (2, 7): 80, (2, 8): 62, (2, 9): 30, (2, 10): 15,
+            (2, 11): 8, (2, 12): 4, (2, 13): 2, (2, 14): 1,
+            (3, 5): 41, (3, 6): 8, (3, 7): 1,
             (4, 4): 15, (5, 3): 30, (6, 3): 2,
-            (8, 2): 63, (9, 2): 15, (10, 2): 3,
+            (8, 2): 52, (9, 2): 15, (10, 2): 3,
         }
-        all_m = {(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2)}
+        all_m = {
+            (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),
+            (4, 2), (4, 3), (5, 2), (6, 2), (7, 2),
+        }
         for n, d in itertools.product(range(2, 16), range(1, 17)):
             bound = 130 if d == 1 or (n, d) in all_m else largest.get((n, d), 0)
             for m in range(1, 131):
@@ -232,13 +240,13 @@ class TestBuildSwitchKraus:
         for n in (10**400, 15):
             with pytest.raises(SizeGuardError, match=f"over 2\\^{2 * n} bytes"):
                 check_size_guard(n, 1, 2)
-        # 16 3^28 (9 10^4) + 16 3^28 9 bytes is past 2^63: a numpy d is counted as a Python int
+        # 16 3^28 9 (10^4 + 1) bytes is past 2^63: a numpy d is counted as a Python int
         with pytest.raises(SizeGuardError, match="3.29e\\+19 bytes"):
             check_size_guard(14, 10**4, np.int64(3))
 
     @pytest.mark.parametrize(
         ("m", "dim", "bits"),
-        [(10**200, 2, 1339), (2, 10**300, 5986)],
+        [(10**200, 2, 1338), (2, 10**300, 5986)],
         ids=["huge-m", "huge-d"],
     )
     def test_size_guard_message_past_the_float_range(self, m, dim, bits):
@@ -261,10 +269,12 @@ class TestBuildSwitchKraus:
             (cyclic_orders(4), 3),
             (all_orders(4), 2),
             (all_orders(3), 5),
-            (cyclic_orders(2), 12),  # block-bound: M = 2
-            (all_orders(5), 2),  # Gram-bound: M = 120
+            (cyclic_orders(2), 12),
+            (all_orders(5), 2),
+            # contraction-bound: 670 relative permutations, of the bound's 720
+            (OrderSet(orders=tuple(itertools.permutations(range(6)))[::13]), 2),
         ],
-        ids=["cyclic4-d3", "all4-d2", "all3-d5", "cyclic2-d12", "all5-d2"],
+        ids=["cyclic4-d3", "all4-d2", "all3-d5", "cyclic2-d12", "all5-d2", "n6-every13th-d2"],
     )
     def test_size_guard_predicts_the_peak(self, orders, d):
         # the guard's count is the larger tracemalloc peak of the switch map
@@ -412,6 +422,90 @@ class TestSwitchMapAgainstKrausSum:
         assert np.abs(out.state - expected).max() < 1e-14
 
 
+def tuple_gram_map(orders, basis):
+    """The switch map as the Gram of the literal Kraus family, rearranged.
+
+    Entry ((j, c, e), (i, a, b)) of the Gram is sum_t K_ti[a, b] conj(K_tj[c, e]),
+    row (i, a, j, c) and column (b, e) of the map.
+    """
+    d, m = basis.dim, orders.m_orders
+    g = gram(build_switch_kraus(orders, basis).reshape(-1, m * d * d))
+    return g.reshape(m, d, d, m, d, d).transpose(3, 4, 0, 1, 5, 2).reshape((m * d) ** 2, d * d)
+
+
+def twisted_weyl_basis(dim, seed):
+    """Weyl operators conjugated by a fixed random unitary, each with its own phase."""
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    phases = np.exp(2j * np.pi * rng.random(dim * dim))
+    ops = phases[:, None, None] * (v @ weyl_basis(dim).ops @ v.conj().T)
+    return UnitaryBasis(dim=dim, ops=ops)
+
+
+def random_unitaries(dim, seed):
+    """d^2 independent random unitaries, not an error basis: W is not (1/d) delta delta."""
+    rng = np.random.default_rng(seed)
+    shape = (dim * dim, dim, dim)
+    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return UnitaryBasis(dim=dim, ops=q)
+
+
+N4_SET = OrderSet(orders=((0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1)))
+
+
+class TestSwitchMapAgainstTupleGram:
+    @pytest.mark.parametrize(
+        ("orders", "basis"),
+        [
+            (all_orders(3), weyl_basis(3)),
+            (all_orders(4), weyl_basis(2)),
+            (all_orders(4), weyl_basis(3)),
+            (cyclic_orders(4), weyl_basis(3)),
+            (cyclic_orders(5), weyl_basis(3)),
+            (cyclic_orders(2), weyl_basis(12)),
+            (all_orders(5), weyl_basis(2)),
+            (N4_SET, weyl_basis(3)),
+            (all_orders(3), twisted_weyl_basis(3, 1)),
+            (N4_SET, twisted_weyl_basis(3, 2)),
+            (cyclic_orders(3), twisted_weyl_basis(5, 3)),
+            (all_orders(3), random_unitaries(2, 4)),
+            (N4_SET, random_unitaries(2, 5)),
+        ],
+        ids=[
+            "all3-d3", "all4-d2", "all4-d3", "cyclic4-d3", "cyclic5-d3", "cyclic2-d12",
+            "all5-d2", "n4-set-d3", "all3-d3-twisted", "n4-set-d3-twisted",
+            "cyclic3-d5-twisted", "all3-d2-random", "n4-set-d2-random",
+        ],
+    )
+    def test_contraction_equals_the_tuple_gram(self, orders, basis):
+        # Every unitary error basis has the same W, so the twisted bases
+        # check the literal entries; the random unitaries give another W.
+        assert np.abs(_switch_map(orders, basis) - tuple_gram_map(orders, basis)).max() < 1e-14
+
+    def test_needs_no_kraus_family(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the Kraus family was built")
+
+        monkeypatch.setattr("switchcap.switch.build_switch_kraus", never)
+        orders, basis = all_orders(3), weyl_basis(2)
+        out = apply_switch(orders, basis, ControlAmplitudes.uniform(6), np.eye(2) / 2)
+        assert out.state.shape == (12, 12)
+        # the all-order qubit rate at N=3, below the paper's 0.1395
+        assert holevo_oracle(orders, basis) == pytest.approx(0.0981, abs=1e-4)
+
+    def test_memory_stays_below_the_kraus_family(self):
+        # N=5, d=3 cyclic: the Kraus family alone is 3^10 * 5 * 9 complex entries
+        orders, basis = cyclic_orders(5), weyl_basis(3)
+        family = 16 * 3**10 * 5 * 9
+        tracemalloc.start()
+        try:
+            apply_switch(orders, basis, ControlAmplitudes.uniform(5), np.eye(3) / 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < family / 4
+
+
 def raw_block(orders, basis, i, j, rho):
     """The (i, j) block of the switch output before amplitude scaling."""
     c = ControlAmplitudes.uniform(orders.m_orders)
@@ -497,15 +591,18 @@ class TestHolevoOracle:
             holevo_oracle(cyclic_orders(2), weyl_basis(2), n_samples=MAX_ORACLE_SAMPLES + 1)
 
     def test_state_budget_boundary(self):
-        # N=4, d=2, all 24 orders: one 48 x 48 complex state per sample.
-        orders = all_orders(4)
-        largest = BYTE_BUDGET // (48 * 48 * 16) - 1
-        check_oracle_size(orders, 2, largest)
+        # N=2, d=13: the inputs, one 13 x 13 complex matrix per sample plus
+        # the mixed one, and one 26 x 26 output state.  At d=2 the sample
+        # cap binds long before the budget.
+        orders = cyclic_orders(2)
+        largest = (BYTE_BUDGET // 16 - 26 * 26) // (13 * 13) - 1
+        assert largest < MAX_ORACLE_SAMPLES
+        check_oracle_size(orders, 13, largest)
         with pytest.raises(SizeGuardError):
-            check_oracle_size(orders, 2, largest + 1)
+            check_oracle_size(orders, 13, largest + 1)
 
     def test_state_budget_message_past_the_float_range(self):
-        with pytest.raises(SizeGuardError, match="need ~2\\^2000 bytes"):
+        with pytest.raises(SizeGuardError, match="need ~2\\^1998 bytes"):
             check_oracle_size(cyclic_orders(2), 10**200, 1)
 
 
