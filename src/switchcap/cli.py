@@ -14,8 +14,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O
 error, 4 size guard, 5 numerical failure (a non-Hermitian matrix, an
 eigensolver failure, or an invalid state or spectrum inside the
-computation).  All randomness is controlled by ``--seed``; output is
-byte-stable for identical flags and seed.
+computation).  All randomness is controlled by ``--seed``, a nonnegative
+integer that seeds the stdlib Mersenne Twister (``random.Random``) behind
+``switch.NormalSource``; output is byte-stable for identical flags and seed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
 )
 from .switch import (
     ControlAmplitudes,
+    NormalSource,
     OrderSet,
     all_orders,
     apply_switch,
@@ -194,7 +196,7 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     dim = basis.dim
     amplitudes = ControlAmplitudes.uniform(m)
 
-    rng = np.random.default_rng(seed)
+    rng = NormalSource(seed)
     pure = np.zeros((dim, dim), dtype=complex)
     pure[0, 0] = 1.0
     inputs = [pure, random_density_matrix(dim, rng), np.eye(dim, dtype=complex) / dim]
@@ -241,6 +243,9 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # random.Random seeds from |seed|, so -s would silently repeat s.
+    if args.seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
     if args.mode != "explicit" and args.perms is not None:
         raise DomainError(f"--perms needs --mode explicit, not --mode {args.mode}")
     perms = parse_permutations(args.perms) if args.perms else None

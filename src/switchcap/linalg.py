@@ -32,8 +32,11 @@ SPECTRUM_HERMITICITY_TOL = 1e-10
 def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted in descending order.
 
-    The input is symmetrized, ``(h + h^dagger) / 2``, to drop its
+    The input is symmetrized, ``(h + h^dagger) * 0.5``, to drop its
     sub-tolerance asymmetry, then handed to LAPACK (``numpy.linalg.eigvalsh``).
+    Beside the input it holds a working copy, one conjugate transpose and
+    the asymmetry's real magnitudes: the sum is formed in the copy, and the
+    asymmetry ``h - h^dagger`` in the transpose, as the sum less twice it.
 
     Parameters
     ----------
@@ -55,14 +58,20 @@ def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NotHermitianError("matrix has NaN or infinite entries")
-    asym = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if asym > SPECTRUM_HERMITICITY_TOL:
+    trace = float(np.trace(a).real)
+    adjoint = a.conj().T
+    a += adjoint
+    adjoint *= -2.0
+    adjoint += a
+    asym = float(np.abs(adjoint).max()) if a.size else 0.0
+    del adjoint
+    # NaN from an overflowing sum fails this test too.
+    if not asym <= SPECTRUM_HERMITICITY_TOL:
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by {asym:.3e} "
             f"(tolerance {SPECTRUM_HERMITICITY_TOL:.1e})"
         )
-    trace = float(np.trace(a).real)
-    a = (a + a.conj().T) / 2.0
+    a *= 0.5
     try:
         values = np.linalg.eigvalsh(a)[::-1].copy()
     except np.linalg.LinAlgError as exc:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,8 +209,8 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
       their product, 48 P d^(N+3) bytes for P distinct relative
       permutations, at most min(M (M - 1) + 1, N!);
     * the oracle holds the map's (M d^2)^2 entries, one (M d)^2 output state
-      and the three copies ``hermitian_spectrum`` makes of it,
-      16 (M d)^2 (d^2 + 4) bytes.
+      and what ``hermitian_spectrum`` holds beside it, two complex copies
+      and one real array, 8 (M d)^2 (2 d^2 + 7) bytes.
 
     At d >= 2 an N with 2N past the budget's bit length is refused first,
     as its 2^(2N) products alone pass the budget, so d^(2N) is never built
@@ -223,7 +225,7 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
     size = max(
         16 * dim ** (2 * n_channels) * dim**2 * (m + 1),
         48 * _relative_order_bound(n_channels, m) * dim ** (n_channels + 3),
-        16 * (m * dim) ** 2 * (dim**2 + 4),
+        8 * (m * dim) ** 2 * (2 * dim**2 + 7),
     )
     if size > BYTE_BUDGET:
         raise SizeGuardError(
@@ -253,19 +255,26 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     Operator t is block-diagonal over the control; its block l is the basis
     unitaries for tuple t composed in the l-th causal order, over d^N.
     Tuples run row-major over the channels, the order ``itertools.product``
-    lists them.  The chain of products U_a0 U_a1 ... U_a(N-1), axis k for
-    factor k, is broadcast once; an order puts channel ``order[k]`` in
-    factor k, so its blocks are the chain transposed into channel order.
+    lists them.  The chain of products U_t0 U_t1 ... U_t(N-1) grows by one
+    factor per ``np.matmul`` of the whole chain, as one (rows, d) matrix,
+    with the stack of d^2 basis unitaries: d^2 tall products, each writing
+    one contiguous slab, instead of one d x d product per tuple.  The new
+    factor's index lands in front, so the axes come out as t_(N-1), ...,
+    t_1, t_0, a, c with every d x d block contiguous.  An order puts
+    channel ``order[k]`` in factor k, so its blocks are the chain
+    transposed into channel order.
     """
     n, m, d = orders.n_channels, orders.m_orders, basis.dim
     check_size_guard(n, m, d)
     chain = basis.ops
     for _ in range(n - 1):
-        chain = chain[..., None, :, :] @ basis.ops
+        chain = np.matmul(chain.reshape(-1, d), basis.ops)
+    # Factor k's index t_k sits at axis N - 1 - k.
+    chain = chain.reshape((d * d,) * n + (d, d))
     blocks = np.empty((d ** (2 * n), m, d, d), dtype=chain.dtype)
     by_channel = blocks.reshape(chain.shape[:-2] + (m, d, d))
     for l, order in enumerate(orders.orders):
-        by_channel[..., l, :, :] = chain.transpose(*np.argsort(order), n, n + 1)
+        by_channel[..., l, :, :] = chain.transpose(*(n - 1 - np.argsort(order)), n, n + 1)
     blocks /= float(d**n)
     return blocks
 
@@ -371,14 +380,46 @@ def apply_switch(
     return SwitchOutput(m_orders=orders.m_orders, dim=d, state=state)
 
 
-def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state vector from complex Gaussian entries."""
+class NormalSource:
+    """Seeded standard normal draws from the stdlib Mersenne Twister.
+
+    ``standard_normal(size)`` takes an int or a shape and fills a float64
+    array of it, in C order, from ``random.Random(seed).gauss(0.0, 1.0)``.
+    The ``random`` module is loaded at interpreter start, so a seeded
+    request imports nothing, where the first use of ``numpy.random`` loads
+    ``secrets``, ``hashlib`` and a dozen extension modules.  The same seed
+    gives the same draws, and successive calls continue one stream.  A
+    negative seed raises DomainError: ``random.Random`` seeds from the
+    absolute value, so -s would repeat the draws of s.
+    """
+
+    def __init__(self, seed: int) -> None:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {seed}")
+        self._gauss = random.Random(seed).gauss
+
+    def standard_normal(self, size: int | tuple[int, ...]) -> np.ndarray:
+        out = np.empty(size)
+        gauss = self._gauss
+        out.reshape(-1)[:] = [gauss(0.0, 1.0) for _ in range(out.size)]
+        return out
+
+
+def haar_random_state(dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
+    """Haar-random pure state vector from complex Gaussian entries.
+
+    ``rng`` is any object with ``standard_normal(size)``.
+    """
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density matrix A A^dagger / Tr(A A^dagger)."""
+def random_density_matrix(dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
+    """Full-rank random density matrix A A^dagger / Tr(A A^dagger).
+
+    ``rng`` is any object with ``standard_normal(size)``.
+    """
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
@@ -395,22 +436,22 @@ def holevo_oracle(
     Evaluates S(output on the maximally mixed input) minus the smallest
     output entropy over the sample set, using uniform control amplitudes.
     The sample set always contains the d computational basis states, then
-    ``n_samples - d`` Haar-random pure states drawn from the seeded
-    generator.  Under the Weyl basis every output block is a multiple of
-    rho or of Tr(rho) I for any order set, so every pure input has the same
-    output entropy and the value is exact, whatever the sample count; with
-    another basis, adding samples can only lower the reported minimum.  A
-    sample count outside [1, MAX_ORACLE_SAMPLES] raises DomainError, and one
-    whose inputs and one output state exceed BYTE_BUDGET bytes raises
-    SizeGuardError, before any state is drawn.  The output states are taken
-    one at a time.
+    ``n_samples - d`` Haar-random pure states drawn from ``NormalSource(seed)``.
+    Under the Weyl basis every output block is a multiple of rho or of
+    Tr(rho) I for any order set, so every pure input has the same output
+    entropy and the value is exact, whatever the sample count and seed;
+    with another basis, adding samples can only lower the reported minimum.
+    A negative seed or a sample count outside [1, MAX_ORACLE_SAMPLES] raises
+    DomainError, and a sample count whose inputs and one output state exceed
+    BYTE_BUDGET bytes raises SizeGuardError, before any state is drawn.  The
+    output states are taken one at a time.
     """
+    rng = NormalSource(seed)
     d = basis.dim
     check_oracle_size(orders, d, n_samples)
     switch_map = _switch_map(orders, basis)
     amplitudes = ControlAmplitudes.uniform(orders.m_orders).as_array()
 
-    rng = np.random.default_rng(seed)
     vectors = [np.eye(d, dtype=complex)[k] for k in range(d)]
     for _ in range(max(0, n_samples - d)):
         vectors.append(haar_random_state(d, rng))

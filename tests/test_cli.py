@@ -431,6 +431,38 @@ class TestVerify:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [(r["n_channels"], r["dim"]) for r in rows] == cases
 
+    def test_negative_seed_is_argument_error_before_any_case(self, capsys, monkeypatch):
+        # random.Random(-1) would draw the states of seed 1
+        def never(*args, **kwargs):
+            raise AssertionError("a case started")
+
+        monkeypatch.setattr("switchcap.cli.check_size_guard", never)
+        monkeypatch.setattr("switchcap.cli.run_verify_case", never)
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "switchcap: invalid arguments: --seed must be nonnegative, got -1\n"
+
+    def test_request_does_not_import_numpy_random(self):
+        # the seeded draws come from the stdlib generator, loaded at start-up
+        script = (
+            "import contextlib, io, sys\n"
+            "import switchcap\n"
+            "loaded = ['numpy.random' in sys.modules]\n"
+            "import switchcap.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = switchcap.cli.main(['verify', '--channels', '2'])\n"
+            "loaded.append('numpy.random' in sys.modules)\n"
+            "print(code, loaded)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(switchcap.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.stdout == "0 [False, False]\n", done.stderr
+
     def test_explicit_mode_requires_perms(self, capsys):
         assert main(["verify", "--mode", "explicit", "--dim", "2"]) == 2
 

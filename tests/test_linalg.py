@@ -100,6 +100,41 @@ class TestHermitianSpectrum:
             shifted = hermitian_spectrum(h + c * np.eye(7))
             assert np.abs(shifted - (hermitian_spectrum(h) + c)).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 5, 48])
+    def test_symmetrizes_like_the_half_sum(self, n):
+        # a sub-tolerance asymmetry is dropped as (h + h^dagger) / 2 drops it
+        a = random_complex((n, n), seed=n)
+        h = (a + a.conj().T) / 2 + 1e-12 * random_complex((n, n), seed=n + 1)
+        before = h.copy()
+        expected = np.linalg.eigvalsh((h + h.conj().T) / 2.0)[::-1]
+        assert np.abs(hermitian_spectrum(h) - expected).max() < 1e-15
+        assert np.array_equal(h, before)
+
+    def test_reports_the_asymmetry(self):
+        m = np.array([[0.0, 0.5], [-0.25j, 0.0]])
+        with pytest.raises(NotHermitianError, match="by 5.590e-01"):
+            hermitian_spectrum(m)
+
+    def test_rejects_an_overflowing_sum(self):
+        # h + h^dagger overflows to inf; NaN eigenvalues are not returned
+        big = np.array([[0.0, 1.7e308], [1.7e308, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotHermitianError):
+            hermitian_spectrum(big)
+
+    def test_memory_holds_two_copies_and_a_real_array(self):
+        # beside its input: the working copy, one conjugate transpose and the
+        # asymmetry's magnitudes, 2.5 copies where the half sum took 3
+        h = random_complex((300, 300), seed=9)
+        h = (h + h.conj().T) / 2
+        hermitian_spectrum(h)
+        tracemalloc.start()
+        try:
+            hermitian_spectrum(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * h.nbytes
+
     def test_rejects_non_square(self):
         with pytest.raises(NotHermitianError):
             hermitian_spectrum(np.ones((2, 3)))

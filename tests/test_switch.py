@@ -14,6 +14,7 @@ from switchcap.switch import (
     BYTE_BUDGET,
     MAX_ORACLE_SAMPLES,
     ControlAmplitudes,
+    NormalSource,
     OrderSet,
     _switch_map,
     all_orders,
@@ -165,6 +166,29 @@ class TestBuildSwitchKraus:
         assert kraus.dtype == complex
         assert kraus.flags.writeable
 
+    @pytest.mark.parametrize(
+        ("orders", "d"),
+        [
+            (cyclic_orders(4), 3),
+            (all_orders(4), 2),
+            (cyclic_orders(5), 3),
+            (OrderSet(orders=((2, 0, 1),)), 3),
+            (all_orders(3), 3),
+        ],
+        ids=["cyclic4-d3", "all4-d2", "cyclic5-d3", "one-order-d3", "all3-d3"],
+    )
+    def test_blocks_match_the_broadcast_chain(self, orders, d):
+        # the products of one d x d matmul per tuple, broadcast over the tuples
+        basis = weyl_basis(d)
+        n = orders.n_channels
+        chain = basis.ops
+        for _ in range(n - 1):
+            chain = chain[..., None, :, :] @ basis.ops
+        kraus = build_switch_kraus(orders, basis)
+        for l, order in enumerate(orders.orders):
+            expected = chain.transpose(*np.argsort(order), n, n + 1).reshape(-1, d, d)
+            assert np.abs(kraus[:, l] - expected / d**n).max() < 1e-15
+
     def test_three_channel_completeness(self):
         kraus = build_switch_kraus(cyclic_orders(3), weyl_basis(2))
         assert kraus.shape == (64, 3, 2, 2)
@@ -197,8 +221,8 @@ class TestBuildSwitchKraus:
     )
     def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
         # The largest of the order products with one copied block, the
-        # contraction's three arrays and the oracle's map and four states:
-        # max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), 16 (M d)^2 (d^2 + 4)) bytes,
+        # contraction's three arrays and the oracle's map, state and spectrum arrays:
+        # max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), 8 (M d)^2 (2 d^2 + 7)) bytes,
         # P = min(M (M - 1) + 1, N!).  Every case here is bound by the products.
         orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
         if admitted:
@@ -209,13 +233,13 @@ class TestBuildSwitchKraus:
 
     def test_size_guard_decisions_on_a_grid(self):
         # Largest admitted M in 1..130 for each (N, d), N in 2..15 and d in
-        # 1..16, from max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), 16 (M d)^2 (d^2 + 4))
+        # 1..16, from max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), 8 (M d)^2 (2 d^2 + 7))
         # bytes with P = min(M (M - 1) + 1, N!) against 2^28.  d = 1 and the
         # pairs in all_m admit every M; the other pairs admit none.  The
         # oracle's term binds at (2, 6..8), the contraction's at (8, 2) and
         # the products' everywhere else.
         largest = {
-            (2, 6): 107, (2, 7): 80, (2, 8): 62, (2, 9): 30, (2, 10): 15,
+            (2, 6): 108, (2, 7): 80, (2, 8): 62, (2, 9): 30, (2, 10): 15,
             (2, 11): 8, (2, 12): 4, (2, 13): 2, (2, 14): 1,
             (3, 5): 41, (3, 6): 8, (3, 7): 1,
             (4, 4): 15, (5, 3): 30, (6, 3): 2,
@@ -566,6 +590,21 @@ class TestHolevoOracle:
         got = holevo_oracle(all_orders(5), weyl_basis(2))
         assert got == pytest.approx(0.1924, abs=5e-5)
 
+    def test_memory_is_the_guard_oracle_term(self):
+        # the map, one output state and what hermitian_spectrum holds beside
+        # it: 8 (M d)^2 (2 d^2 + 7) bytes, within 5 %, over all 120 orders
+        orders, d = all_orders(5), 2
+        basis = weyl_basis(d)
+        holevo_oracle(orders, basis, n_samples=d)
+        tracemalloc.start()
+        try:
+            holevo_oracle(orders, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        term = 8 * (orders.m_orders * d) ** 2 * (2 * d * d + 7)
+        assert 0.95 * term <= peak <= 1.05 * term
+
     def test_single_order_transmits_nothing(self):
         orders = OrderSet(orders=((0, 1),))
         got = holevo_oracle(orders, weyl_basis(3), n_samples=8, seed=1)
@@ -577,6 +616,23 @@ class TestHolevoOracle:
         small = holevo_oracle(orders, basis, n_samples=8, seed=5)
         large = holevo_oracle(orders, basis, n_samples=32, seed=5)
         assert large >= small - 1e-12
+
+    @pytest.mark.parametrize(
+        ("orders", "d"), [(all_orders(3), 2), (cyclic_orders(4), 3)], ids=["all3-d2", "cyclic4-d3"]
+    )
+    def test_seed_does_not_move_the_weyl_rate(self, orders, d):
+        # every pure input has the same output entropy under the Weyl basis
+        basis = weyl_basis(d)
+        chis = [holevo_oracle(orders, basis, seed=seed) for seed in (0, 42, 7919, 2**70)]
+        assert max(chis) - min(chis) < 1e-12
+
+    def test_rejects_negative_seed_before_any_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the switch map was built")
+
+        monkeypatch.setattr("switchcap.switch._switch_map", never)
+        with pytest.raises(DomainError, match="seed"):
+            holevo_oracle(cyclic_orders(2), weyl_basis(2), seed=-1)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(DomainError):
@@ -604,6 +660,48 @@ class TestHolevoOracle:
     def test_state_budget_message_past_the_float_range(self):
         with pytest.raises(SizeGuardError, match="need ~2\\^1998 bytes"):
             check_oracle_size(cyclic_orders(2), 10**200, 1)
+
+
+class TestNormalSource:
+    @pytest.mark.parametrize(("size", "shape"), [(5, (5,)), ((2, 3), (2, 3)), ((4,), (4,)), (0, (0,))])
+    def test_returns_the_requested_shape(self, size, shape):
+        draws = NormalSource(1).standard_normal(size)
+        assert draws.shape == shape
+        assert draws.dtype == np.float64
+
+    def test_same_seed_same_draws(self):
+        assert np.array_equal(
+            NormalSource(7919).standard_normal((3, 4)), NormalSource(7919).standard_normal((3, 4))
+        )
+        assert not np.array_equal(
+            NormalSource(1).standard_normal(8), NormalSource(2).standard_normal(8)
+        )
+
+    def test_fewer_draws_are_a_prefix(self):
+        # holevo_oracle's 8 samples are the first of its 32
+        many = NormalSource(5).standard_normal(32)
+        assert np.array_equal(NormalSource(5).standard_normal(8), many[:8])
+        source = NormalSource(5)
+        parts = [source.standard_normal(3), source.standard_normal((5, 2)).ravel()]
+        assert np.array_equal(np.concatenate(parts), many[:13])
+
+    def test_draws_are_standard_normal(self):
+        draws = NormalSource(3).standard_normal(20000)
+        assert abs(draws.mean()) < 0.05
+        assert abs(draws.std() - 1.0) < 0.05
+
+    def test_rejects_negative_seed(self):
+        # random.Random(-s) would repeat the stream of s
+        with pytest.raises(DomainError, match="nonnegative"):
+            NormalSource(-1)
+
+    def test_drives_the_state_samplers(self):
+        v = haar_random_state(5, NormalSource(99))
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert np.array_equal(v, haar_random_state(5, NormalSource(99)))
+        rho = random_density_matrix(4, NormalSource(3))
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
+        assert hermitian_spectrum(rho)[-1] > 0.0
 
 
 class TestSampling:
