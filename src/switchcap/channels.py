@@ -20,12 +20,14 @@ MIN_DIM = 2
 MAX_DIM = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryBasis:
     """An orthogonal basis of d^2 unitary operators on a d-level system.
 
     ``ops`` has shape (d^2, d, d).  Orthogonality means
-    Tr(U_i^dagger U_j) = d * delta_ij.
+    Tr(U_i^dagger U_j) = d * delta_ij.  Equality and hashing are by
+    identity, as an array has no single truth value, and the switch keys
+    its kept map on this object.
     """
 
     dim: int

@@ -15,8 +15,9 @@ Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O
 error, 4 size guard, 5 numerical failure (a non-Hermitian matrix, an
 eigensolver failure, or an invalid state or spectrum inside the
 computation).  All randomness is controlled by ``--seed``, a nonnegative
-integer that seeds the stdlib Mersenne Twister (``random.Random``) behind
-``switch.NormalSource``; output is byte-stable for identical flags and seed.
+integer in every subcommand that takes it, which seeds the stdlib Mersenne
+Twister (``random.Random``) behind ``switch.NormalSource``; output is
+byte-stable for identical flags and seed.
 """
 
 from __future__ import annotations
@@ -139,7 +140,15 @@ def _meta(seed: int) -> dict:
     return {"seed": seed, "version": __version__}
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random seeds from |seed|, so -s would silently repeat s; table
+    # and sweep draw nothing, but their meta object carries the same seed.
+    if seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {seed}")
+
+
 def cmd_grid(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     dims = parse_int_list(args.dims)
     orders = parse_int_list(args.orders)
     _validate_grid(dims, orders)
@@ -190,6 +199,12 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     since the closed form is not claimed for them.  The sampled rate is
     enforced against the closed-form rate within CHI_TOL only when all order
     pairs are cyclically related.  Returns the report row.
+
+    The stages run in this order: the three block checks, the oracle, then
+    the completeness check.  The first block check builds the switch map,
+    which ``switch`` keeps for the other two and the oracle; the Kraus
+    family's build empties it, so the rest of the row is built with no map
+    held.
     """
     started = time.perf_counter()
     m = orders.m_orders
@@ -208,8 +223,8 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
         residual = np.maximum(residual, _block_residual(orders, basis, amplitudes, rho))
     max_block_residual = float(residual[related].max())
 
-    kraus_residual = check_completeness(build_switch_kraus(orders, basis))
     chi_oracle = holevo_oracle(orders, basis, seed=seed)
+    kraus_residual = check_completeness(build_switch_kraus(orders, basis))
     chi_analytic = holevo(m, dim).chi
 
     fully_cyclic = bool(related.all())
@@ -243,9 +258,7 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # random.Random seeds from |seed|, so -s would silently repeat s.
-    if args.seed < 0:
-        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
+    _check_seed(args.seed)
     if args.mode != "explicit" and args.perms is not None:
         raise DomainError(f"--perms needs --mode explicit, not --mode {args.mode}")
     perms = parse_permutations(args.perms) if args.perms else None

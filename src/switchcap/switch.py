@@ -19,6 +19,13 @@ built channel by channel, one contraction per relative permutation of the
 order pairs, and the d^(2N) tuples are never enumerated for it; the Kraus
 family is built only for the completeness check.  Everything is summed in a
 fixed deterministic sequence, so results are bit-stable.
+
+The module keeps the last switch map it built, read-only, with the
+``OrderSet`` and ``UnitaryBasis`` objects it was built for.  A call with
+those same two objects (compared with ``is``) takes the kept map, so the
+block checks and the oracle of one ``verify`` case share one build.  Any
+other map build, and every Kraus family build, empties the slot first, so
+at most one map is held and never beside a Kraus family.
 """
 
 from __future__ import annotations
@@ -204,13 +211,16 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
 
     * the Kraus completeness check holds the d^(2N) order products of
       M d^2 complex entries each and one copied block, 16 d^(2N) d^2 (M + 1)
-      bytes;
+      bytes; ``build_switch_kraus`` empties the kept switch map before it
+      allocates, so no map is held beside them;
     * the switch map's contraction holds its chain state, a factor and
       their product, 48 P d^(N+3) bytes for P distinct relative
-      permutations, at most min(M (M - 1) + 1, N!);
+      permutations, at most min(M (M - 1) + 1, N!); the kept map is
+      emptied before the contraction starts;
     * the oracle holds the map's (M d^2)^2 entries, one (M d)^2 output state
       and what ``hermitian_spectrum`` holds beside it, two complex copies
-      and one real array, 8 (M d)^2 (2 d^2 + 7) bytes.
+      and one real array, 8 (M d)^2 (2 d^2 + 7) bytes.  The map is the one
+      kept from the block checks of the same case, not a second copy.
 
     At d >= 2 an N with 2N past the budget's bit length is refused first,
     as its 2^(2N) products alone pass the budget, so d^(2N) is never built
@@ -264,19 +274,26 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     channel ``order[k]`` in factor k, so its blocks are the chain
     transposed into channel order.
     """
+    global _kept_map
     n, m, d = orders.n_channels, orders.m_orders, basis.dim
     check_size_guard(n, m, d)
+    _kept_map = None
     chain = basis.ops
     for _ in range(n - 1):
         chain = np.matmul(chain.reshape(-1, d), basis.ops)
+    # A fresh product (N >= 2), scaled in place once, before its M copies.
+    chain /= float(d**n)
     # Factor k's index t_k sits at axis N - 1 - k.
     chain = chain.reshape((d * d,) * n + (d, d))
     blocks = np.empty((d ** (2 * n), m, d, d), dtype=chain.dtype)
     by_channel = blocks.reshape(chain.shape[:-2] + (m, d, d))
     for l, order in enumerate(orders.orders):
         by_channel[..., l, :, :] = chain.transpose(*(n - 1 - np.argsort(order)), n, n + 1)
-    blocks /= float(d**n)
     return blocks
+
+
+# The last switch map built, as (orders, basis, map), or None: see _switch_map.
+_kept_map: tuple[OrderSet, UnitaryBasis, np.ndarray] | None = None
 
 
 def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
@@ -298,7 +315,18 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     depends only on its relative permutation pi, and each distinct pi is
     contracted once: a state over (pi, y_0..y_N, x_0, x_p) takes factor p
     in one batched d x d product, and the inner y are summed at the end.
+
+    The map is kept, read-only, for the next call with the same two objects
+    (compared with ``is``), which returns it without a build.  Any other
+    call empties the slot before it builds, so two maps are never held at
+    once.  The slot is read once, so a concurrent writer cannot pair one
+    map's key with another's value.
     """
+    global _kept_map
+    kept = _kept_map
+    if kept is not None and kept[0] is orders and kept[1] is basis:
+        return kept[2]
+    _kept_map = None
     n, m, d = orders.n_channels, orders.m_orders, basis.dim
     check_size_guard(n, m, d)
     perms, which = _relative_orders(orders)
@@ -309,7 +337,10 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     switch_map = np.empty((m, d, m, d, d, d), dtype=complex)
     for i, row in enumerate(which):
         switch_map[i] = blocks[:, row]
-    return switch_map.reshape((m * d) ** 2, d * d)
+    switch_map = switch_map.reshape((m * d) ** 2, d * d)
+    switch_map.setflags(write=False)
+    _kept_map = (orders, basis, switch_map)
+    return switch_map
 
 
 def _relative_orders(orders: OrderSet) -> tuple[np.ndarray, np.ndarray]:

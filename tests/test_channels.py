@@ -61,6 +61,15 @@ class TestWeylBasis:
         with pytest.raises(ValueError):
             basis.ops[0, 0, 0] = 0.0
 
+    def test_equality_and_hash_are_identity(self):
+        # an array has no single truth value, so equal operators do not make
+        # equal bases
+        basis = weyl_basis(2)
+        assert basis == basis
+        assert weyl_basis(2) != weyl_basis(2)
+        assert hash(basis) == hash(basis)
+        assert {basis: 1}[basis] == 1
+
     def test_wrong_operator_count_rejected(self):
         with pytest.raises(DimensionMismatchError):
             UnitaryBasis(dim=2, ops=np.zeros((3, 2, 2), dtype=complex))

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import switchcap
+import switchcap.switch as switch_module
 from switchcap.capacity import holevo
+from switchcap.channels import UnitaryBasis, weyl_basis
 from switchcap.cli import (
+    BLOCK_TOL,
     CSV_HEADER,
     ORDER_RANGE,
     _cyclic_mask,
@@ -21,6 +24,7 @@ from switchcap.cli import (
     main,
     parse_int_list,
     parse_permutations,
+    run_verify_case,
 )
 from switchcap.errors import (
     DomainError,
@@ -29,7 +33,13 @@ from switchcap.errors import (
     NoConvergenceError,
     NotHermitianError,
 )
-from switchcap.switch import OrderSet, all_orders, check_size_guard, cyclically_related
+from switchcap.switch import (
+    OrderSet,
+    all_orders,
+    check_size_guard,
+    cyclic_orders,
+    cyclically_related,
+)
 
 # Mixed grid points: a single order, tiny and huge M, the smallest and largest d.
 MIXED_REPORTS = [holevo(m, d) for d in (2, 3, 16, 64) for m in (1, 2, 3, 7, 1000, 10**6)]
@@ -223,6 +233,31 @@ class TestSweep:
         out = tmp_path / "never.csv"
         assert main(["sweep", "--dims", "2", "--orders", "0..3", "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("argv", "seed"),
+        [
+            (["table", "--format", "json", "--seed", "-1"], -1),
+            (["sweep", "--dims", "2", "--orders", "2", "--seed", "-5", "--out", "never.csv"], -5),
+        ],
+        ids=["table", "sweep"],
+    )
+    def test_negative_seed_is_argument_error_before_any_row(
+        self, tmp_path, capsys, monkeypatch, argv, seed
+    ):
+        # the message verify gives, and no row or --out file is written
+        def never(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr("switchcap.cli.holevo", never)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"switchcap: invalid arguments: --seed must be nonnegative, got {seed}\n"
+        )
 
     def test_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
         self._memory_does_not_grow(tmp_path, monkeypatch, "sweep", "csv")
@@ -499,6 +534,61 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * check_size_guard(5, 120, 2)
+
+    def test_memory_of_two_cases_is_the_larger_guard(self, capsys):
+        # the first case's kept map is emptied before its Kraus family is
+        # built, and so is held neither beside it nor into the second case
+        assert main(["verify"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--channels", "4,5", "--mode", "all"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * max(check_size_guard(4, 24, 2), check_size_guard(5, 120, 2))
+
+    @pytest.mark.parametrize(
+        ("argv", "cases"),
+        [
+            ([], 1),
+            (["--dim", "2,3"], 2),
+            (["--channels", "3", "--mode", "all"], 1),
+            (["--channels", "2,3", "--dim", "2,3"], 4),
+        ],
+    )
+    def test_one_switch_map_per_case(self, capsys, monkeypatch, argv, cases):
+        # the three block checks and the oracle of a case share one build
+        contract, calls = switch_module._contract, []
+
+        def counted(*args):
+            calls.append(args)
+            return contract(*args)
+
+        monkeypatch.setattr("switchcap.switch._contract", counted)
+        assert main(["verify", *argv]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == cases
+        assert len(calls) == cases
+
+    def test_changed_basis_gets_its_own_map(self):
+        # After a Weyl case on the same order set object, a changed basis is
+        # a new key.  One operator scaled by 1.001 gives outputs of trace
+        # 1.001, which the state check refuses; the kept Weyl map would have
+        # given trace 1.  A unitary but non-orthogonal operator keeps the
+        # Kraus sum complete, so only its own map's blocks can make it fail.
+        orders, weyl = cyclic_orders(2), weyl_basis(2)
+        assert run_verify_case(orders, "cyclic", weyl, 42)["status"] == "pass"
+        scaled = weyl.ops.copy()
+        scaled[1] *= 1.001
+        with pytest.raises(InvalidStateError, match="trace"):
+            run_verify_case(orders, "cyclic", UnitaryBasis(dim=2, ops=scaled), 42)
+
+        assert run_verify_case(orders, "cyclic", weyl, 42)["status"] == "pass"
+        twisted = weyl.ops.copy()
+        twisted[1] = twisted[1] @ np.diag([1.0, np.exp(1e-3j)])
+        row = run_verify_case(orders, "cyclic", UnitaryBasis(dim=2, ops=twisted), 42)
+        assert row["status"] == "fail"
+        assert row["max_block_residual"] > BLOCK_TOL
+        assert row["kraus_residual"] < 1e-12
 
     def test_four_channel_qutrits_over_all_orders(self, capsys):
         # the 24 orders at d = 3 fit the byte budget

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from switchcap import switch
 from switchcap.channels import UnitaryBasis, check_completeness, weyl_basis
 from switchcap.errors import DimensionMismatchError, DomainError, InvalidStateError, SizeGuardError
 from switchcap.linalg import gram, hermitian_spectrum, von_neumann_entropy
@@ -188,6 +189,26 @@ class TestBuildSwitchKraus:
         for l, order in enumerate(orders.orders):
             expected = chain.transpose(*np.argsort(order), n, n + 1).reshape(-1, d, d)
             assert np.abs(kraus[:, l] - expected / d**n).max() < 1e-15
+
+    @pytest.mark.parametrize(
+        ("orders", "d"),
+        [(cyclic_orders(4), 3), (all_orders(4), 2), (OrderSet(orders=((2, 0, 1),)), 3)],
+        ids=["cyclic4-d3", "all4-d2", "one-order-d3"],
+    )
+    def test_scaling_the_chain_first_changes_no_bit(self, orders, d):
+        # the same chain, copied into its order blocks and then scaled
+        basis = weyl_basis(d)
+        n = orders.n_channels
+        chain = basis.ops
+        for _ in range(n - 1):
+            chain = np.matmul(chain.reshape(-1, d), basis.ops)
+        chain = chain.reshape((d * d,) * n + (d, d))
+        expected = np.stack(
+            [chain.transpose(*(n - 1 - np.argsort(o)), n, n + 1) for o in orders.orders],
+            axis=n,
+        ).reshape(-1, orders.m_orders, d, d)
+        expected /= float(d**n)
+        assert np.array_equal(build_switch_kraus(orders, basis), expected)
 
     def test_three_channel_completeness(self):
         kraus = build_switch_kraus(cyclic_orders(3), weyl_basis(2))
@@ -530,6 +551,32 @@ class TestSwitchMapAgainstTupleGram:
         assert peak < family / 4
 
 
+class TestKeptMap:
+    def test_same_objects_share_one_read_only_map(self):
+        orders, basis = cyclic_orders(3), weyl_basis(2)
+        first = _switch_map(orders, basis)
+        assert _switch_map(orders, basis) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
+    def test_equal_objects_are_not_the_same_key(self):
+        # an equal order set, or a basis with the same operators, builds anew
+        orders, basis = cyclic_orders(3), weyl_basis(2)
+        first = _switch_map(orders, basis)
+        for key in [(cyclic_orders(3), basis), (orders, weyl_basis(2))]:
+            again = _switch_map(*key)
+            assert again is not first
+            assert np.array_equal(again, first)
+
+    def test_kraus_family_empties_the_slot(self):
+        orders, basis = cyclic_orders(2), weyl_basis(2)
+        _switch_map(orders, basis)
+        assert switch._kept_map is not None
+        build_switch_kraus(orders, basis)
+        assert switch._kept_map is None
+
+
 def raw_block(orders, basis, i, j, rho):
     """The (i, j) block of the switch output before amplitude scaling."""
     c = ControlAmplitudes.uniform(orders.m_orders)
@@ -592,10 +639,12 @@ class TestHolevoOracle:
 
     def test_memory_is_the_guard_oracle_term(self):
         # the map, one output state and what hermitian_spectrum holds beside
-        # it: 8 (M d)^2 (2 d^2 + 7) bytes, within 5 %, over all 120 orders
+        # it: 8 (M d)^2 (2 d^2 + 7) bytes, within 5 %, over all 120 orders.
+        # The warm-up takes another basis object, so the measured call still
+        # builds its own map rather than taking the kept one.
         orders, d = all_orders(5), 2
         basis = weyl_basis(d)
-        holevo_oracle(orders, basis, n_samples=d)
+        holevo_oracle(orders, weyl_basis(d), n_samples=d)
         tracemalloc.start()
         try:
             holevo_oracle(orders, basis)
