@@ -89,7 +89,7 @@ def check_completeness(kraus: ArrayLike) -> float:
     over entries and blocks b; below ~1e-12 certifies a valid channel.
     """
     try:
-        ops = np.ascontiguousarray(kraus, dtype=complex)
+        ops = np.asarray(kraus, dtype=complex)
     except ValueError as exc:
         raise DimensionMismatchError(f"Kraus operators must share a square shape: {exc}") from exc
     if ops.size == 0:
@@ -101,9 +101,12 @@ def check_completeness(kraus: ArrayLike) -> float:
         )
     dim = ops.shape[2]
     # Block b's sum_i K_ib^dagger K_ib is the Gram of the (K n, n) array of
-    # its operators' rows.  That array is a view at B = 1 and a copy of one
-    # block at B > 1, released before the next block is copied; the stack
-    # itself is never conjugated.
+    # its operators' rows.  That array is a view when the block is
+    # contiguous, as in a C-order (K, n, n) stack or in the order-major
+    # family of ``build_switch_kraus``, whose (K, B, n, n) view holds each
+    # order's blocks in one slab.  Any other block, such as one of a C-order
+    # (K, B, n, n) stack, is copied and released before the next is copied;
+    # the stack itself is never conjugated.
     return max(
         float(np.abs(gram(block.reshape(-1, dim)) - np.eye(dim)).max())
         for block in ops.transpose(1, 0, 2, 3)

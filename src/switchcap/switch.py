@@ -209,10 +209,12 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
     A request peaks in one of three places, and the count is the largest,
     an exact integer returned when it fits:
 
-    * the Kraus completeness check holds the d^(2N) order products of
-      M d^2 complex entries each and one copied block, 16 d^(2N) d^2 (M + 1)
-      bytes; ``build_switch_kraus`` empties the kept switch map before it
-      allocates, so no map is held beside them;
+    * the Kraus completeness check's family build holds the d^(2N) order
+      products of M d^2 complex entries each and, while it fills them, the
+      product chain of d^(2N) d^2 entries beside them, 16 d^(2N) d^2 (M + 1)
+      bytes; the family is stored order-major, so the check reads each
+      block in place and copies none; ``build_switch_kraus`` empties the
+      kept switch map before it allocates, so no map is held beside them;
     * the switch map's contraction holds its chain state, a factor and
       their product, 48 P d^(N+3) bytes for P distinct relative
       permutations, at most min(M (M - 1) + 1, N!); the kept map is
@@ -273,6 +275,11 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     t_1, t_0, a, c with every d x d block contiguous.  An order puts
     channel ``order[k]`` in factor k, so its blocks are the chain
     transposed into channel order.
+
+    The family is stored order-major, as (M, d^(2N), d, d): each order's
+    slab is written by one copy of the transposed chain into contiguous
+    memory, and ``check_completeness`` reads each slab in place.  The
+    result is the writable (d^(2N), M, d, d) transposed view of that array.
     """
     global _kept_map
     n, m, d = orders.n_channels, orders.m_orders, basis.dim
@@ -285,11 +292,10 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     chain /= float(d**n)
     # Factor k's index t_k sits at axis N - 1 - k.
     chain = chain.reshape((d * d,) * n + (d, d))
-    blocks = np.empty((d ** (2 * n), m, d, d), dtype=chain.dtype)
-    by_channel = blocks.reshape(chain.shape[:-2] + (m, d, d))
-    for l, order in enumerate(orders.orders):
-        by_channel[..., l, :, :] = chain.transpose(*(n - 1 - np.argsort(order)), n, n + 1)
-    return blocks
+    slabs = np.empty((m,) + chain.shape, dtype=chain.dtype)
+    for slab, order in zip(slabs, orders.orders):
+        slab[...] = chain.transpose(*(n - 1 - np.argsort(order)), n, n + 1)
+    return slabs.reshape(m, -1, d, d).transpose(1, 0, 2, 3)
 
 
 # The last switch map built, as (orders, basis, map), or None: see _switch_map.
@@ -483,10 +489,12 @@ def holevo_oracle(
     switch_map = _switch_map(orders, basis)
     amplitudes = ControlAmplitudes.uniform(orders.m_orders).as_array()
 
-    vectors = [np.eye(d, dtype=complex)[k] for k in range(d)]
-    for _ in range(max(0, n_samples - d)):
-        vectors.append(haar_random_state(d, rng))
-    pure = np.stack(vectors)
+    # One draw of every sample's real and imaginary parts, in the stream
+    # order of one haar_random_state call per sample.
+    parts = rng.standard_normal((max(0, n_samples - d), 2, d))
+    haar = parts[:, 0] + 1j * parts[:, 1]
+    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
+    pure = np.concatenate([np.eye(d, dtype=complex), haar])
     rhos = np.concatenate(
         [np.eye(d, dtype=complex)[None] / d, pure[:, :, None] * pure.conj()[:, None, :]]
     )

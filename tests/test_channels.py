@@ -203,6 +203,20 @@ class TestCheckCompleteness:
             tracemalloc.stop()
         assert peak < 0.6 * ops.nbytes
 
+    def test_switch_family_is_read_in_place(self):
+        # build_switch_kraus stores its orders as contiguous slabs, so no
+        # block is copied: the peak is a small fraction of one block
+        kraus = build_switch_kraus(cyclic_orders(4), weyl_basis(3))
+        block_bytes = kraus[:, 0].nbytes
+        tracemalloc.start()
+        try:
+            residual = check_completeness(kraus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * block_bytes
+        assert residual == check_completeness(np.ascontiguousarray(kraus))
+
 
 def random_stack(shape, seed):
     rng = np.random.default_rng(seed)

@@ -192,11 +192,19 @@ class TestBuildSwitchKraus:
 
     @pytest.mark.parametrize(
         ("orders", "d"),
-        [(cyclic_orders(4), 3), (all_orders(4), 2), (OrderSet(orders=((2, 0, 1),)), 3)],
-        ids=["cyclic4-d3", "all4-d2", "one-order-d3"],
+        [
+            (cyclic_orders(4), 3),
+            (all_orders(4), 2),
+            (OrderSet(orders=((2, 0, 1),)), 3),
+            (cyclic_orders(2), 12),
+            # the first order is not the identity
+            (OrderSet(orders=((1, 2, 0), (0, 2, 1), (2, 1, 0))), 3),
+        ],
+        ids=["cyclic4-d3", "all4-d2", "one-order-d3", "cyclic2-d12", "explicit3-d3"],
     )
     def test_scaling_the_chain_first_changes_no_bit(self, orders, d):
-        # the same chain, copied into its order blocks and then scaled
+        # the same chain, copied into a C-order (d^(2N), M, d, d) array and
+        # then scaled, equals the family stored order-major
         basis = weyl_basis(d)
         n = orders.n_channels
         chain = basis.ops
@@ -208,7 +216,12 @@ class TestBuildSwitchKraus:
             axis=n,
         ).reshape(-1, orders.m_orders, d, d)
         expected /= float(d**n)
-        assert np.array_equal(build_switch_kraus(orders, basis), expected)
+        del chain
+        kraus = build_switch_kraus(orders, basis)
+        assert np.array_equal(kraus, expected)
+        # each order's slab is contiguous, so the completeness check reads it in place
+        for slab in kraus.transpose(1, 0, 2, 3):
+            assert slab.flags.c_contiguous
 
     def test_three_channel_completeness(self):
         kraus = build_switch_kraus(cyclic_orders(3), weyl_basis(2))
@@ -241,7 +254,7 @@ class TestBuildSwitchKraus:
         ],
     )
     def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
-        # The largest of the order products with one copied block, the
+        # The largest of the order products with their product chain, the
         # contraction's three arrays and the oracle's map, state and spectrum arrays:
         # max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), 8 (M d)^2 (2 d^2 + 7)) bytes,
         # P = min(M (M - 1) + 1, N!).  Every case here is bound by the products.
@@ -674,6 +687,26 @@ class TestHolevoOracle:
         basis = weyl_basis(d)
         chis = [holevo_oracle(orders, basis, seed=seed) for seed in (0, 42, 7919, 2**70)]
         assert max(chis) - min(chis) < 1e-12
+
+    @pytest.mark.parametrize(("d", "n_samples"), [(2, 64), (3, 8), (12, 13), (3, 3)])
+    def test_samples_are_the_per_call_haar_draws(self, monkeypatch, d, n_samples):
+        # the oracle's inputs after the mixed state and the d basis states
+        # are n_samples - d successive haar_random_state draws, to the last bits
+        inputs = []
+        output_state = switch._output_state
+
+        def recording(switch_map, amplitudes, rho):
+            inputs.append(rho)
+            return output_state(switch_map, amplitudes, rho)
+
+        monkeypatch.setattr(switch, "_output_state", recording)
+        holevo_oracle(cyclic_orders(2), weyl_basis(d), n_samples=n_samples, seed=7919)
+        assert len(inputs) == 1 + n_samples
+        assert np.array_equal(inputs[1 : 1 + d], np.eye(d)[:, :, None] * np.eye(d)[:, None, :])
+        source = NormalSource(7919)
+        for rho in inputs[1 + d :]:
+            v = haar_random_state(d, source)
+            assert np.abs(rho - np.outer(v, v.conj())).max() < 1e-15
 
     def test_rejects_negative_seed_before_any_work(self, monkeypatch):
         def never(*args, **kwargs):
