@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DimensionMismatchError, DimensionOutOfRangeError
+from .errors import DimensionMismatchError, DimensionOutOfRangeError, DomainError
 from .linalg import gram
 
 MIN_DIM = 2
@@ -93,7 +93,7 @@ def check_completeness(kraus: ArrayLike) -> float:
     except ValueError as exc:
         raise DimensionMismatchError(f"Kraus operators must share a square shape: {exc}") from exc
     if ops.size == 0:
-        raise ValueError("empty Kraus list")
+        raise DomainError("empty Kraus list")
     ops = ops[:, None] if ops.ndim == 3 else ops
     if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
         raise DimensionMismatchError(

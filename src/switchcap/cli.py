@@ -199,12 +199,6 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     since the closed form is not claimed for them.  The sampled rate is
     enforced against the closed-form rate within CHI_TOL only when all order
     pairs are cyclically related.  Returns the report row.
-
-    The stages run in this order: the three block checks, the oracle, then
-    the completeness check.  The first block check builds the switch map,
-    which ``switch`` keeps for the other two and the oracle; the Kraus
-    family's build empties it, so the rest of the row is built with no map
-    held.
     """
     started = time.perf_counter()
     m = orders.m_orders

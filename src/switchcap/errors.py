@@ -34,4 +34,4 @@ class SizeGuardError(SwitchCapError):
 
 
 class DomainError(SwitchCapError, ValueError):
-    """Scalar argument lies outside the domain of a closed-form expression."""
+    """An argument lies outside the domain that its function accepts."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     InvalidSpectrumError,
     InvalidStateError,
     NoConvergenceError,
@@ -160,7 +161,7 @@ def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
         return np.trace(r, axis1=1, axis2=3)
     if keep == "B":
         return np.trace(r, axis1=0, axis2=2)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    raise DomainError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:

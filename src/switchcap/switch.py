@@ -17,15 +17,16 @@ amplitude scaling, and takes every output block and sampled rate from S.
 Each channel's index appears once in K_t and once in conj(K_t), so S is
 built channel by channel, one contraction per relative permutation of the
 order pairs, and the d^(2N) tuples are never enumerated for it; the Kraus
-family is built only for the completeness check.  Everything is summed in a
-fixed deterministic sequence, so results are bit-stable.
+family is built only for the completeness check.  Block (i, j) of S depends
+only on the relative permutation of orders i and j, so S is held as its
+distinct blocks and an index of which pair uses which.  Everything is summed
+in a fixed deterministic sequence, so results are bit-stable.
 
 The module keeps the last switch map it built, read-only, with the
 ``OrderSet`` and ``UnitaryBasis`` objects it was built for.  A call with
 those same two objects (compared with ``is``) takes the kept map, so the
 block checks and the oracle of one ``verify`` case share one build.  Any
-other map build, and every Kraus family build, empties the slot first, so
-at most one map is held and never beside a Kraus family.
+other map build empties the slot first, so at most one map is held.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ MAX_ORACLE_SAMPLES = 10**5
 BYTE_BUDGET = 2**28
 
 Permutation = tuple[int, ...]
+SwitchMap = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,16 @@ class OrderSet:
 
     def __post_init__(self) -> None:
         if not self.orders:
-            raise ValueError("an order set needs at least one order")
+            raise DomainError("an order set needs at least one order")
         n = len(self.orders[0])
         if n < 2:
-            raise ValueError("orders must involve at least two channels")
+            raise DomainError("orders must involve at least two channels")
         reference = tuple(range(n))
         for order in self.orders:
             if tuple(sorted(order)) != reference:
-                raise ValueError(f"{order!r} is not a permutation of 0..{n - 1}")
+                raise DomainError(f"{order!r} is not a permutation of 0..{n - 1}")
         if len(set(self.orders)) != len(self.orders):
-            raise ValueError("duplicate causal orders")
+            raise DomainError("duplicate causal orders")
 
     @property
     def n_channels(self) -> int:
@@ -141,6 +143,8 @@ class SwitchOutput:
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Read-only view of the (i, j) control sector, a dim x dim matrix."""
+        if not (0 <= i < self.m_orders and 0 <= j < self.m_orders):
+            raise DomainError(f"block ({i}, {j}) outside [0, {self.m_orders})")
         d = self.dim
         return self.state[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
@@ -207,22 +211,21 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
     """Reject brute-force requests whose arrays exceed the byte budget.
 
     A request peaks in one of three places, and the count is the largest,
-    an exact integer returned when it fits:
+    an exact integer returned when it fits.  The kept switch map is P complex
+    d^2 x d^2 blocks, for P <= min(M (M - 1) + 1, N!) distinct relative
+    permutations, and an (M d)^2 integer index, 16 P d^4 + 8 (M d)^2 bytes:
 
     * the Kraus completeness check's family build holds the d^(2N) order
       products of M d^2 complex entries each and, while it fills them, the
       product chain of d^(2N) d^2 entries beside them, 16 d^(2N) d^2 (M + 1)
-      bytes; the family is stored order-major, so the check reads each
-      block in place and copies none; ``build_switch_kraus`` empties the
-      kept switch map before it allocates, so no map is held beside them;
+      bytes, plus the kept map; the family is stored order-major, so the
+      check reads each block in place and copies none;
     * the switch map's contraction holds its chain state, a factor and
-      their product, 48 P d^(N+3) bytes for P distinct relative
-      permutations, at most min(M (M - 1) + 1, N!); the kept map is
-      emptied before the contraction starts;
-    * the oracle holds the map's (M d^2)^2 entries, one (M d)^2 output state
-      and what ``hermitian_spectrum`` holds beside it, two complex copies
-      and one real array, 8 (M d)^2 (2 d^2 + 7) bytes.  The map is the one
-      kept from the block checks of the same case, not a second copy.
+      their product, 48 P d^(N+3) bytes; the kept map is emptied before
+      the contraction starts;
+    * the oracle holds one (M d)^2 output state and what
+      ``hermitian_spectrum`` holds beside it, two complex copies and one
+      real array, 56 (M d)^2 bytes, plus the kept map.
 
     At d >= 2 an N with 2N past the budget's bit length is refused first,
     as its 2^(2N) products alone pass the budget, so d^(2N) is never built
@@ -234,10 +237,12 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
             f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of order "
             f"products (budget {BYTE_BUDGET:.2e})"
         )
+    p = _relative_order_bound(n_channels, m)
+    kept = 16 * p * dim**4 + 8 * (m * dim) ** 2
     size = max(
-        16 * dim ** (2 * n_channels) * dim**2 * (m + 1),
-        48 * _relative_order_bound(n_channels, m) * dim ** (n_channels + 3),
-        8 * (m * dim) ** 2 * (2 * dim**2 + 7),
+        16 * dim ** (2 * n_channels) * dim**2 * (m + 1) + kept,
+        48 * p * dim ** (n_channels + 3),
+        56 * (m * dim) ** 2 + kept,
     )
     if size > BYTE_BUDGET:
         raise SizeGuardError(
@@ -281,10 +286,8 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     memory, and ``check_completeness`` reads each slab in place.  The
     result is the writable (d^(2N), M, d, d) transposed view of that array.
     """
-    global _kept_map
     n, m, d = orders.n_channels, orders.m_orders, basis.dim
     check_size_guard(n, m, d)
-    _kept_map = None
     chain = basis.ops
     for _ in range(n - 1):
         chain = np.matmul(chain.reshape(-1, d), basis.ops)
@@ -299,16 +302,19 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
 
 
 # The last switch map built, as (orders, basis, map), or None: see _switch_map.
-_kept_map: tuple[OrderSet, UnitaryBasis, np.ndarray] | None = None
+_kept_map: tuple[OrderSet, UnitaryBasis, SwitchMap] | None = None
 
 
-def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
-    """Superoperator of the switch before amplitude scaling, shape ((M*d)^2, d^2).
+def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> SwitchMap:
+    """Superoperator of the switch before amplitude scaling, as (blocks, index).
 
-    Row (i, a, j, c) and column (b, e), both row-major, hold
-    sum_t K_ti[a, b] conj(K_tj[c, e]) over the Kraus blocks K_ti, so
-    ``S @ rho.ravel()`` is the raveled (M*d, M*d) output whose (i, j) block
-    is sum_t K_ti rho K_tj^dagger.
+    Row (i, a, j, c) and column (b, e) of S hold sum_t K_ti[a, b]
+    conj(K_tj[c, e]) over the Kraus blocks K_ti, so S sends rho to the
+    (M*d, M*d) output whose (i, j) block is sum_t K_ti rho K_tj^dagger.  S is
+    held as (P, d^2, d^2) ``blocks``, one per distinct relative permutation
+    pi, with rows (a, c) and columns (b, e), and an (M, d, M, d) integer
+    ``index`` into the raveled (P, d, d) images ``blocks @ rho.ravel()``:
+    output entry (i, a, j, c) is image entry (pi, a, c) of the pair's pi.
 
     Channel k's index t_k appears once in K_ti and once in conj(K_tj), so
     the tuple sum is a contraction of one twirl tensor per channel,
@@ -322,11 +328,11 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     contracted once: a state over (pi, y_0..y_N, x_0, x_p) takes factor p
     in one batched d x d product, and the inner y are summed at the end.
 
-    The map is kept, read-only, for the next call with the same two objects
-    (compared with ``is``), which returns it without a build.  Any other
-    call empties the slot before it builds, so two maps are never held at
-    once.  The slot is read once, so a concurrent writer cannot pair one
-    map's key with another's value.
+    The two arrays are kept, read-only, for the next call with the same two
+    objects (compared with ``is``), which returns them without a build.  Any
+    other call empties the slot before it builds, so two maps are never held
+    at once; no other code writes the slot.  The slot is read once, so a
+    concurrent writer cannot pair one map's key with another's value.
     """
     global _kept_map
     kept = _kept_map
@@ -338,13 +344,11 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     perms, which = _relative_orders(orders)
     # twirl[c, e, a, b] = W[a, b, c, e]: the Gram of the flattened basis.
     twirl = (gram(basis.ops.reshape(d * d, d * d)) / (d * d)).reshape(d, d, d, d)
-    blocks = _contract(twirl, perms).transpose(3, 0, 1, 4, 2)  # [a, pi, c, b, e]
-    # Filled one order i at a time, so no second map-sized array is held.
-    switch_map = np.empty((m, d, m, d, d, d), dtype=complex)
-    for i, row in enumerate(which):
-        switch_map[i] = blocks[:, row]
-    switch_map = switch_map.reshape((m * d) ** 2, d * d)
-    switch_map.setflags(write=False)
+    blocks = _contract(twirl, perms).transpose(0, 3, 1, 4, 2).reshape(-1, d * d, d * d)
+    index = (which[:, None, :, None] * d + np.arange(d)[:, None, None]) * d + np.arange(d)
+    blocks.setflags(write=False)
+    index.setflags(write=False)
+    switch_map = (blocks, index)
     _kept_map = (orders, basis, switch_map)
     return switch_map
 
@@ -383,10 +387,11 @@ def _contract(twirl: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return state.reshape(len(perms), d, -1, d, d, d).sum(axis=2)
 
 
-def _output_state(switch_map: np.ndarray, amplitudes: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _output_state(switch_map: SwitchMap, amplitudes: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Joint output for one target state, shape (M*d, M*d)."""
+    blocks, index = switch_map
     m, d = len(amplitudes), len(rho)
-    raw = (switch_map @ rho.ravel()).reshape(m, d, m, d)
+    raw = (blocks @ rho.ravel()).take(index)
     raw *= np.outer(amplitudes, amplitudes)[:, None, :, None]
     return raw.reshape(m * d, m * d)
 

@@ -9,8 +9,14 @@ import pytest
 
 from switchcap import switch
 from switchcap.channels import UnitaryBasis, check_completeness, weyl_basis
-from switchcap.errors import DimensionMismatchError, DomainError, InvalidStateError, SizeGuardError
-from switchcap.linalg import gram, hermitian_spectrum, von_neumann_entropy
+from switchcap.errors import (
+    DimensionMismatchError,
+    DomainError,
+    InvalidStateError,
+    SizeGuardError,
+    SwitchCapError,
+)
+from switchcap.linalg import gram, hermitian_spectrum, partial_trace, von_neumann_entropy
 from switchcap.switch import (
     BYTE_BUDGET,
     MAX_ORACLE_SAMPLES,
@@ -45,6 +51,24 @@ def naive_cross_block(order_a, order_b, basis, rho):
             right = right @ basis.ops[t[slot]]
         acc += left @ rho @ right.conj().T
     return acc / d ** (2 * n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: OrderSet(orders=()),
+        lambda: OrderSet(orders=((0,),)),
+        lambda: OrderSet(orders=((0, 0),)),
+        lambda: OrderSet(orders=((0, 1), (0, 1))),
+        lambda: check_completeness([]),
+        lambda: partial_trace(np.eye(4) / 4, 2, 2, "C"),
+    ],
+    ids=["no-orders", "one-channel", "not-a-permutation", "duplicate", "no-kraus", "keep"],
+)
+def test_argument_errors_are_switchcap_errors(call):
+    # each is a DomainError, so still a ValueError
+    with pytest.raises(SwitchCapError):
+        call()
 
 
 class TestOrderSets:
@@ -240,23 +264,24 @@ class TestBuildSwitchKraus:
             (4, "all", 2, True),  # 0.4 MiB
             (4, "cyclic", 3, True),  # 4.5 MiB
             (4, "all", 3, True),  # 22.5 MiB
-            (5, "all", 2, True),  # 7.6 MiB
+            (5, "all", 2, True),  # 8.0 MiB
             (3, "all", 5, True),  # 42 MiB
-            (2, "cyclic", 11, True),  # 81 MiB
+            (2, "cyclic", 11, True),  # 82 MiB
             (2, "cyclic", 12, True),  # 137 MiB
             (3, "cyclic", 6, True),  # 103 MiB
             (4, "cyclic", 4, True),  # 80 MiB
-            (2, "cyclic", 13, True),  # 221 MiB
-            (2, "cyclic", 16, False),  # 768 MiB
-            (3, "all", 6, True),  # 179 MiB
-            (5, "all", 3, False),  # 981 MiB
+            (2, "cyclic", 13, True),  # 222 MiB
+            (2, "cyclic", 16, False),  # 770 MiB
+            (3, "all", 6, True),  # 180 MiB
+            (5, "all", 3, False),  # 982 MiB
             (5, "cyclic", 4, False),  # 1.5 GiB
         ],
     )
     def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
         # The largest of the order products with their product chain, the
-        # contraction's three arrays and the oracle's map, state and spectrum arrays:
-        # max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), 8 (M d)^2 (2 d^2 + 7)) bytes,
+        # contraction's three arrays and the oracle's state and spectrum arrays,
+        # the first and last beside the kept map's K = 16 P d^4 + 8 (M d)^2 bytes:
+        # max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), 56 (M d)^2 + K) bytes,
         # P = min(M (M - 1) + 1, N!).  Every case here is bound by the products.
         orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
         if admitted:
@@ -267,20 +292,20 @@ class TestBuildSwitchKraus:
 
     def test_size_guard_decisions_on_a_grid(self):
         # Largest admitted M in 1..130 for each (N, d), N in 2..15 and d in
-        # 1..16, from max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), 8 (M d)^2 (2 d^2 + 7))
-        # bytes with P = min(M (M - 1) + 1, N!) against 2^28.  d = 1 and the
-        # pairs in all_m admit every M; the other pairs admit none.  The
-        # oracle's term binds at (2, 6..8), the contraction's at (8, 2) and
+        # 1..16, from max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), 56 (M d)^2 + K)
+        # bytes with K = 16 P d^4 + 8 (M d)^2 and P = min(M (M - 1) + 1, N!)
+        # against 2^28.  d = 1 and the pairs in all_m admit every M; the
+        # other pairs admit none.  The contraction's term binds at (8, 2) and
         # the products' everywhere else.
         largest = {
-            (2, 6): 108, (2, 7): 80, (2, 8): 62, (2, 9): 30, (2, 10): 15,
+            (2, 8): 62, (2, 9): 30, (2, 10): 15,
             (2, 11): 8, (2, 12): 4, (2, 13): 2, (2, 14): 1,
             (3, 5): 41, (3, 6): 8, (3, 7): 1,
-            (4, 4): 15, (5, 3): 30, (6, 3): 2,
-            (8, 2): 52, (9, 2): 15, (10, 2): 3,
+            (4, 4): 14, (5, 3): 30, (6, 3): 2,
+            (8, 2): 52, (9, 2): 14, (10, 2): 2,
         }
         all_m = {
-            (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),
+            (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3), (3, 4),
             (4, 2), (4, 3), (5, 2), (6, 2), (7, 2),
         }
         for n, d in itertools.product(range(2, 16), range(1, 17)):
@@ -304,7 +329,7 @@ class TestBuildSwitchKraus:
 
     @pytest.mark.parametrize(
         ("m", "dim", "bits"),
-        [(10**200, 2, 1338), (2, 10**300, 5986)],
+        [(10**200, 2, 1337), (2, 10**300, 5986)],
         ids=["huge-m", "huge-d"],
     )
     def test_size_guard_message_past_the_float_range(self, m, dim, bits):
@@ -317,7 +342,7 @@ class TestBuildSwitchKraus:
         with pytest.raises(SizeGuardError) as caught:
             check_size_guard(2, 2, 16)
         assert str(caught.value) == (
-            "N=2, d=16, M=2 needs ~8.05e+08 bytes of order products "
+            "N=2, d=16, M=2 needs ~8.07e+08 bytes of order products "
             "and their switch map (budget 2.68e+08)"
         )
 
@@ -433,6 +458,13 @@ class TestApplySwitch:
             for j in range(3):
                 assert np.abs(shuffled.block(i, j) - out.block(perm[i], perm[j])).max() < 1e-14
 
+    def test_block_indices_must_lie_in_range(self):
+        out = apply_switch(cyclic_orders(2), weyl_basis(2), ControlAmplitudes.uniform(2), np.eye(2) / 2)
+        assert np.array_equal(out.block(1, 1), out.state[2:, 2:])
+        for i, j in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
+            with pytest.raises(DomainError, match="outside"):
+                out.block(i, j)
+
     def test_dimension_checks(self):
         basis = weyl_basis(2)
         with pytest.raises(DimensionMismatchError):
@@ -478,6 +510,16 @@ class TestSwitchMapAgainstKrausSum:
         out = apply_switch(orders, basis, amplitudes, rho)
         expected = kraus_sum_output(orders, basis, amplitudes, rho)
         assert np.abs(out.state - expected).max() < 1e-14
+
+
+def dense_map(orders, basis):
+    """The switch map as one ((M*d)^2, d^2) matrix, assembled from its blocks and index.
+
+    Raveled image position (pi, a, c) is row (a, c) of block pi, so the index
+    picks, for each output row (i, a, j, c), the block row that gives it.
+    """
+    blocks, index = _switch_map(orders, basis)
+    return blocks.reshape(-1, basis.dim**2)[index.ravel()]
 
 
 def tuple_gram_map(orders, basis):
@@ -538,7 +580,7 @@ class TestSwitchMapAgainstTupleGram:
     def test_contraction_equals_the_tuple_gram(self, orders, basis):
         # Every unitary error basis has the same W, so the twisted bases
         # check the literal entries; the random unitaries give another W.
-        assert np.abs(_switch_map(orders, basis) - tuple_gram_map(orders, basis)).max() < 1e-14
+        assert np.abs(dense_map(orders, basis) - tuple_gram_map(orders, basis)).max() < 1e-14
 
     def test_needs_no_kraus_family(self, monkeypatch):
         def never(*args, **kwargs):
@@ -569,9 +611,14 @@ class TestKeptMap:
         orders, basis = cyclic_orders(3), weyl_basis(2)
         first = _switch_map(orders, basis)
         assert _switch_map(orders, basis) is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0] = 0.0
+        blocks, index = first
+        # three cyclic orders give three relative permutations
+        assert blocks.shape == (3, 4, 4)
+        assert index.shape == (3, 2, 3, 2)
+        for array in first:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
 
     def test_equal_objects_are_not_the_same_key(self):
         # an equal order set, or a basis with the same operators, builds anew
@@ -580,14 +627,21 @@ class TestKeptMap:
         for key in [(cyclic_orders(3), basis), (orders, weyl_basis(2))]:
             again = _switch_map(*key)
             assert again is not first
-            assert np.array_equal(again, first)
+            assert all(np.array_equal(a, b) for a, b in zip(again, first))
 
-    def test_kraus_family_empties_the_slot(self):
-        orders, basis = cyclic_orders(2), weyl_basis(2)
-        _switch_map(orders, basis)
-        assert switch._kept_map is not None
+    def test_kraus_family_keeps_the_map(self, monkeypatch):
+        # the map outlives a family build, so the same case contracts once
+        orders, basis = cyclic_orders(3), weyl_basis(2)
+        kept = _switch_map(orders, basis)
         build_switch_kraus(orders, basis)
-        assert switch._kept_map is None
+        assert switch._kept_map[2] is kept
+
+        def never(*args):
+            raise AssertionError("the switch map was contracted again")
+
+        monkeypatch.setattr(switch, "_contract", never)
+        apply_switch(orders, basis, ControlAmplitudes.uniform(3), np.eye(2) / 2)
+        assert holevo_oracle(orders, basis) == pytest.approx(0.0817, abs=1e-4)
 
 
 def raw_block(orders, basis, i, j, rho):
@@ -651,8 +705,9 @@ class TestHolevoOracle:
         assert got == pytest.approx(0.1924, abs=5e-5)
 
     def test_memory_is_the_guard_oracle_term(self):
-        # the map, one output state and what hermitian_spectrum holds beside
-        # it: 8 (M d)^2 (2 d^2 + 7) bytes, within 5 %, over all 120 orders.
+        # the kept blocks and index, one output state and what
+        # hermitian_spectrum holds beside it: 16 P d^4 + 64 (M d)^2 bytes,
+        # within 5 %, over all 120 orders, whose relative permutations are all P = 120.
         # The warm-up takes another basis object, so the measured call still
         # builds its own map rather than taking the kept one.
         orders, d = all_orders(5), 2
@@ -664,7 +719,7 @@ class TestHolevoOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        term = 8 * (orders.m_orders * d) ** 2 * (2 * d * d + 7)
+        term = 16 * 120 * d**4 + 64 * (orders.m_orders * d) ** 2
         assert 0.95 * term <= peak <= 1.05 * term
 
     def test_single_order_transmits_nothing(self):
