@@ -27,7 +27,8 @@ class UnitaryBasis:
     ``ops`` has shape (d^2, d, d).  Orthogonality means
     Tr(U_i^dagger U_j) = d * delta_ij.  Equality and hashing are by
     identity, as an array has no single truth value, and the switch keys
-    its kept map on this object.
+    its kept map on this object.  The basis holds its own read-only copy of
+    ``ops``, so no alias of the caller's array can change it.
     """
 
     dim: int
@@ -39,6 +40,7 @@ class UnitaryBasis:
             raise DimensionMismatchError(
                 f"expected {(d * d, d, d)} operators, got shape {self.ops.shape}"
             )
+        object.__setattr__(self, "ops", np.array(self.ops))
         self.ops.setflags(write=False)
 
 

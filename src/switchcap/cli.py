@@ -16,8 +16,9 @@ error, 4 size guard, 5 numerical failure (a non-Hermitian matrix, an
 eigensolver failure, or an invalid state or spectrum inside the
 computation).  All randomness is controlled by ``--seed``, a nonnegative
 integer in every subcommand that takes it, which seeds the stdlib Mersenne
-Twister (``random.Random``) behind ``switch.NormalSource``; output is
-byte-stable for identical flags and seed.
+Twister (``random.Random``) behind ``switch.NormalSource``.  Output is
+byte-stable for identical flags and seed, except each ``verify`` row's
+``wall_time_s``.
 """
 
 from __future__ import annotations
@@ -195,10 +196,10 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     closed-form block for three inputs (a basis projector, a seeded random
     mixed state, the maximally mixed state).  Blocks whose pair of orders
     are cyclic shifts of each other must agree within BLOCK_TOL, and so must
-    the Kraus completeness residual; other pairs are measured and reported,
-    since the closed form is not claimed for them.  The sampled rate is
-    enforced against the closed-form rate within CHI_TOL only when all order
-    pairs are cyclically related.  Returns the report row.
+    the Kraus completeness residual.  Other pairs, for which the closed form
+    is not claimed, only make the status ``divergent-block`` if they miss it.
+    The sampled rate is enforced against the closed-form rate within CHI_TOL
+    only when all order pairs are cyclically related.  Returns the report row.
     """
     started = time.perf_counter()
     m = orders.m_orders
@@ -221,28 +222,20 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     kraus_residual = check_completeness(build_switch_kraus(orders, basis))
     chi_analytic = holevo(m, dim).chi
 
-    fully_cyclic = bool(related.all())
-    divergent_pairs = [
-        {"i": int(i), "j": int(j), "deviation": float(residual[i, j])}
-        for i, j in np.argwhere(~related & (residual > BLOCK_TOL))
-    ]
     failed = (
         max(max_block_residual, kraus_residual) >= BLOCK_TOL
-        or (fully_cyclic and abs(chi_analytic - chi_oracle) >= CHI_TOL)
+        or (related.all() and abs(chi_analytic - chi_oracle) >= CHI_TOL)
     )
     if failed:
         status = "fail"
-    elif divergent_pairs:
-        status = "divergent-block"
     else:
-        status = "pass"
+        status = "divergent-block" if (residual[~related] > BLOCK_TOL).any() else "pass"
     return {
         "n_channels": orders.n_channels,
         "dim": dim,
         "orders_mode": mode,
         "orders": [list(o) for o in orders.orders],
         "max_block_residual": max_block_residual,
-        "divergent_pairs": divergent_pairs,
         "kraus_residual": kraus_residual,
         "chi_analytic": chi_analytic,
         "chi_oracle": chi_oracle,

@@ -643,6 +643,21 @@ class TestKeptMap:
         apply_switch(orders, basis, ControlAmplitudes.uniform(3), np.eye(2) / 2)
         assert holevo_oracle(orders, basis) == pytest.approx(0.0817, abs=1e-4)
 
+    def test_alias_of_the_given_operators_cannot_stale_the_map(self):
+        # a view of the caller's array, taken before the basis was built,
+        # writes only to the caller's array and not to the basis's copy
+        weyl = weyl_basis(2)
+        ops = weyl.ops.copy()
+        view = ops[:]
+        basis, orders = UnitaryBasis(dim=2, ops=ops), cyclic_orders(2)
+        c, rho = ControlAmplitudes.uniform(2), random_density_matrix(2, np.random.default_rng(16))
+        apply_switch(orders, basis, c, rho)
+        view[1] = view[1] @ np.diag([1, np.exp(0.5j)])
+        assert np.array_equal(basis.ops, weyl.ops)
+        kept = apply_switch(orders, basis, c, rho).state
+        assert np.array_equal(kept, apply_switch(orders, weyl, c, rho).state)
+        assert ops.flags.writeable
+
 
 def raw_block(orders, basis, i, j, rho):
     """The (i, j) block of the switch output before amplitude scaling."""
@@ -684,6 +699,25 @@ class TestCrossTerm:
         blk = raw_block(orders, basis, 0, 1, rho)
         oracle = naive_cross_block((0, 1, 2, 3), (1, 3, 0, 2), basis, rho)
         assert np.abs(blk - oracle).max() < 1e-13
+
+    @pytest.mark.parametrize(
+        ("n", "d"), [(3, 2), (4, 2), (3, 3)], ids=["all-3-d2", "all-4-d2", "all-3-d3"]
+    )
+    def test_off_diagonal_block_misses_closed_form_iff_unrelated(self, n, d):
+        # every off-diagonal block is rho/d^2 within 1e-12 when its pair is a
+        # cyclic shift, and misses it by more than 1e-3 otherwise
+        orders = all_orders(n)
+        m = orders.m_orders
+        rho = random_density_matrix(d, np.random.default_rng(15))
+        # uniform amplitudes scale every block by 1/M
+        state = apply_switch(orders, weyl_basis(d), ControlAmplitudes.uniform(m), rho).state
+        blocks = state.reshape(m, d, m, d) * m
+        miss = np.abs(blocks - (rho / d**2)[None, :, None, :]).max(axis=(1, 3))
+        for i, a in enumerate(orders.orders):
+            for j, b in enumerate(orders.orders):
+                if i != j:
+                    assert (miss[i, j] > 1e-3) != cyclically_related(a, b)
+                    assert miss[i, j] > 1e-3 or miss[i, j] < 1e-12
 
 
 class TestHolevoOracle:
