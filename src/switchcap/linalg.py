@@ -168,11 +168,11 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise unless ``rho`` is Hermitian, unit trace and PSD within tolerance.
 
     Tolerances: hermiticity 1e-12 entrywise, trace 1e-12, smallest eigenvalue
-    at least -1e-10.  A NaN or infinite entry is rejected.
+    at least -1e-10.  An empty matrix, or a NaN or infinite entry, is rejected.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
+        raise InvalidStateError(f"expected a nonempty square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidStateError("state has NaN or infinite entries")
     asym = float(np.abs(rho - rho.conj().T).max())

@@ -55,10 +55,10 @@ MAX_FACTORIAL_CHANNELS = 5
 # one spectrum, ~0.1 ms at M*d = 4, so the cap keeps the loop near 10 s.
 MAX_ORACLE_SAMPLES = 10**5
 
-# Bytes one brute-force array family may take: the peak arrays of the
-# products, the switch map and its use (check_size_guard), or the oracle's
-# sampled inputs, one complex d x d matrix per sample, with one output state
-# (check_oracle_size).
+# The oracle's default sample count, and so the byte guard's.
+ORACLE_SAMPLES = 64
+
+# Bytes a brute-force request may hold at its peak (check_size_guard).
 BYTE_BUDGET = 2**28
 
 Permutation = tuple[int, ...]
@@ -187,12 +187,6 @@ def cyclically_related(a: Permutation, b: Permutation) -> bool:
     return any(tuple(a[(i + k) % n] for i in range(n)) == tuple(b) for k in range(n))
 
 
-def _bytes_text(size: int) -> str:
-    """A byte count in ``.2e`` form, or as a power of two past the float range."""
-    bits = int(size).bit_length()
-    return f"{size:.2e}" if bits < 1024 else f"2^{bits}"
-
-
 def _relative_order_bound(n_channels: int, m_orders: int) -> int:
     """min(M (M - 1) + 1, N!), a bound on the distinct relative permutations.
 
@@ -207,31 +201,39 @@ def _relative_order_bound(n_channels: int, m_orders: int) -> int:
     return factorial
 
 
-def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
+def check_size_guard(
+    n_channels: int, m_orders: int, dim: int, n_samples: int = ORACLE_SAMPLES
+) -> int:
     """Reject brute-force requests whose arrays exceed the byte budget.
 
-    A request peaks in one of three places, and the count is the largest,
-    an exact integer returned when it fits.  The kept switch map is P complex
-    d^2 x d^2 blocks, for P <= min(M (M - 1) + 1, N!) distinct relative
-    permutations, and an (M d)^2 integer index, 16 P d^4 + 8 (M d)^2 bytes:
+    The count is the largest of these stages, an exact integer returned when
+    it fits.  K = 16 P d^4 + 8 (M d)^2 bytes is the kept switch map: P
+    complex d^2 x d^2 blocks, P <= min(M (M - 1) + 1, N!), and an (M d)^2
+    integer index.
 
-    * the Kraus completeness check's family build holds the d^(2N) order
-      products of M d^2 complex entries each and, while it fills them, the
-      product chain of d^(2N) d^2 entries beside them, 16 d^(2N) d^2 (M + 1)
-      bytes, plus the kept map; the family is stored order-major, so the
-      check reads each block in place and copies none;
-    * the switch map's contraction holds its chain state, a factor and
-      their product, 48 P d^(N+3) bytes; the kept map is emptied before
-      the contraction starts;
-    * the oracle holds one (M d)^2 output state and what
-      ``hermitian_spectrum`` holds beside it, two complex copies and one
-      real array, 56 (M d)^2 bytes, plus the kept map.
+    * The completeness check's Kraus family: d^(2N) order products of M d^2
+      complex entries, stored order-major so the check copies no block,
+      and the product chain of d^(2N) d^2 entries that fills them,
+      16 d^(2N) d^2 (M + 1) bytes, plus K.
+    * The switch map's contraction: its chain state, a factor and their
+      product, 48 P d^(N+3) bytes; the kept map is emptied first.
+    * The oracle, for n = max(n_samples, d) pure inputs, holds K and 2^14
+      bytes of generator state and array headers, and in turn: its normal
+      draws while ``NormalSource`` lists them, up to 41 bytes each (8 in
+      the array, 24 per float, 9 of list), 82 d n bytes; its input stack,
+      I = 16 (n + 1) d^2 bytes, beside the pure vectors and their
+      conjugate, I + 32 d n; and I beside one output state and
+      ``hermitian_spectrum``'s copies, I + 56 (M d)^2.
+
+    ``verify``'s block check (``cli._block_residual``) holds about
+    61 (M d)^2 bytes beside K and is not counted: M <= N! keeps it below
+    the family's term on every case the budget admits.
 
     At d >= 2 an N with 2N past the budget's bit length is refused first,
     as its 2^(2N) products alone pass the budget, so d^(2N) is never built
     as a huge integer.
     """
-    dim, m = int(dim), int(m_orders)
+    dim, m, n = int(dim), int(m_orders), max(int(n_samples), int(dim))
     if dim > 1 and 2 * n_channels > BYTE_BUDGET.bit_length():
         raise SizeGuardError(
             f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of order "
@@ -239,31 +241,21 @@ def check_size_guard(n_channels: int, m_orders: int, dim: int) -> int:
         )
     p = _relative_order_bound(n_channels, m)
     kept = 16 * p * dim**4 + 8 * (m * dim) ** 2
+    oracle = kept + 2**14
     size = max(
         16 * dim ** (2 * n_channels) * dim**2 * (m + 1) + kept,
         48 * p * dim ** (n_channels + 3),
-        56 * (m * dim) ** 2 + kept,
+        oracle + 82 * dim * n,
+        oracle + 16 * (n + 1) * dim**2 + max(32 * dim * n, 56 * (m * dim) ** 2),
     )
     if size > BYTE_BUDGET:
+        # Past the float range the count is given as a power of two.
+        text = f"{size:.2e}" if size.bit_length() < 1024 else f"2^{size.bit_length()}"
         raise SizeGuardError(
-            f"N={n_channels}, d={dim}, M={m_orders} needs ~{_bytes_text(size)} bytes of order "
-            f"products and their switch map (budget {BYTE_BUDGET:.2e})"
+            f"N={n_channels}, d={dim}, M={m_orders} needs ~{text} bytes of order "
+            f"products, switch map and oracle states (budget {BYTE_BUDGET:.2e})"
         )
     return size
-
-
-def check_oracle_size(orders: OrderSet, dim: int, n_samples: int) -> None:
-    """Reject a sample count out of range, or inputs and a state above budget."""
-    if not 1 <= n_samples <= MAX_ORACLE_SAMPLES:
-        raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
-    # The d basis states are always sampled, plus the maximally mixed input.
-    # The inputs are held together and their output states one at a time.
-    size = ((max(n_samples, dim) + 1) * dim**2 + (orders.m_orders * dim) ** 2) * 16
-    if size > BYTE_BUDGET:
-        raise SizeGuardError(
-            f"{n_samples} samples at d={dim}, M={orders.m_orders} need "
-            f"~{_bytes_text(size)} bytes of input and output states (budget {BYTE_BUDGET:.2e})"
-        )
 
 
 def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
@@ -470,7 +462,7 @@ def random_density_matrix(dim: int, rng: NormalSource | np.random.Generator) -> 
 def holevo_oracle(
     orders: OrderSet,
     basis: UnitaryBasis,
-    n_samples: int = 64,
+    n_samples: int = ORACLE_SAMPLES,
     seed: int = 42,
 ) -> float:
     """Sampled lower bound on the switch Holevo quantity, in bits.
@@ -484,27 +476,33 @@ def holevo_oracle(
     entropy and the value is exact, whatever the sample count and seed;
     with another basis, adding samples can only lower the reported minimum.
     A negative seed or a sample count outside [1, MAX_ORACLE_SAMPLES] raises
-    DomainError, and a sample count whose inputs and one output state exceed
-    BYTE_BUDGET bytes raises SizeGuardError, before any state is drawn.  The
-    output states are taken one at a time.
+    DomainError, and a count that ``check_size_guard`` refuses SizeGuardError,
+    before any state is drawn; the output states are taken one at a time.
     """
     rng = NormalSource(seed)
     d = basis.dim
-    check_oracle_size(orders, d, n_samples)
+    if not 1 <= n_samples <= MAX_ORACLE_SAMPLES:
+        raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
+    check_size_guard(orders.n_channels, orders.m_orders, d, n_samples)
     switch_map = _switch_map(orders, basis)
     amplitudes = ControlAmplitudes.uniform(orders.m_orders).as_array()
 
     # One draw of every sample's real and imaginary parts, in the stream
     # order of one haar_random_state call per sample.
     parts = rng.standard_normal((max(0, n_samples - d), 2, d))
-    haar = parts[:, 0] + 1j * parts[:, 1]
-    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
-    pure = np.concatenate([np.eye(d, dtype=complex), haar])
-    rhos = np.concatenate(
-        [np.eye(d, dtype=complex)[None] / d, pure[:, :, None] * pure.conj()[:, None, :]]
-    )
-    entropies = [
+    pure = np.concatenate([np.eye(d, dtype=complex), parts[:, 0] + 1j * parts[:, 1]])
+    del parts
+    pure[d:] /= np.linalg.norm(pure[d:], axis=1, keepdims=True)
+    # The mixed input, then the pure projectors, one strided product per
+    # entry: a broadcast product would take NumPy's iteration buffers.
+    rhos = np.empty((len(pure) + 1, d, d), dtype=complex)
+    rhos[0] = np.eye(d) / d
+    conj = pure.conj()
+    for a, b in itertools.product(range(d), repeat=2):
+        np.multiply(pure[:, a], conj[:, b], out=rhos[1:, a, b])
+    del pure, conj
+    entropies = (
         von_neumann_entropy(hermitian_spectrum(_output_state(switch_map, amplitudes, rho)))
         for rho in rhos
-    ]
-    return entropies[0] - min(entropies[1:])
+    )
+    return next(entropies) - min(entropies)

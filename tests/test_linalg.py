@@ -279,3 +279,7 @@ class TestValidateDensityMatrix:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(InvalidStateError):
             validate_density_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_empty_state(self):
+        with pytest.raises(InvalidStateError, match="nonempty square"):
+            validate_density_matrix(np.zeros((0, 0)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from switchcap import switch
+from switchcap.cli import _block_residual
 from switchcap.channels import UnitaryBasis, check_completeness, weyl_basis
 from switchcap.errors import (
     DimensionMismatchError,
@@ -27,7 +28,6 @@ from switchcap.switch import (
     all_orders,
     apply_switch,
     build_switch_kraus,
-    check_oracle_size,
     check_size_guard,
     cyclic_orders,
     cyclically_related,
@@ -279,9 +279,9 @@ class TestBuildSwitchKraus:
     )
     def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
         # The largest of the order products with their product chain, the
-        # contraction's three arrays and the oracle's state and spectrum arrays,
-        # the first and last beside the kept map's K = 16 P d^4 + 8 (M d)^2 bytes:
-        # max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), 56 (M d)^2 + K) bytes,
+        # contraction's three arrays and the oracle's stages at 64 samples,
+        # the first and last beside the kept map's K = 16 P d^4 + 8 (M d)^2
+        # bytes: max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), O + K) bytes,
         # P = min(M (M - 1) + 1, N!).  Every case here is bound by the products.
         orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
         if admitted:
@@ -292,11 +292,11 @@ class TestBuildSwitchKraus:
 
     def test_size_guard_decisions_on_a_grid(self):
         # Largest admitted M in 1..130 for each (N, d), N in 2..15 and d in
-        # 1..16, from max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), 56 (M d)^2 + K)
-        # bytes with K = 16 P d^4 + 8 (M d)^2 and P = min(M (M - 1) + 1, N!)
-        # against 2^28.  d = 1 and the pairs in all_m admit every M; the
-        # other pairs admit none.  The contraction's term binds at (8, 2) and
-        # the products' everywhere else.
+        # 1..16, from max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), O + K)
+        # bytes with K = 16 P d^4 + 8 (M d)^2, P = min(M (M - 1) + 1, N!) and
+        # O the oracle's stages at 64 samples, against 2^28.  d = 1 and the
+        # pairs in all_m admit every M; the other pairs admit none.  The
+        # contraction's term binds at (8, 2) and the products' everywhere else.
         largest = {
             (2, 8): 62, (2, 9): 30, (2, 10): 15,
             (2, 11): 8, (2, 12): 4, (2, 13): 2, (2, 14): 1,
@@ -342,8 +342,8 @@ class TestBuildSwitchKraus:
         with pytest.raises(SizeGuardError) as caught:
             check_size_guard(2, 2, 16)
         assert str(caught.value) == (
-            "N=2, d=16, M=2 needs ~8.07e+08 bytes of order products "
-            "and their switch map (budget 2.68e+08)"
+            "N=2, d=16, M=2 needs ~8.07e+08 bytes of order products, "
+            "switch map and oracle states (budget 2.68e+08)"
         )
 
     @pytest.mark.parametrize(
@@ -360,14 +360,17 @@ class TestBuildSwitchKraus:
         ids=["cyclic4-d3", "all4-d2", "all3-d5", "cyclic2-d12", "all5-d2", "n6-every13th-d2"],
     )
     def test_size_guard_predicts_the_peak(self, orders, d):
-        # the guard's count is the larger tracemalloc peak of the switch map
-        # and of the Kraus completeness check, within 10 %
+        # the guard's count is the largest tracemalloc peak of the switch map,
+        # of the Kraus completeness check and of verify's block check beside
+        # the kept map, within 10 %; the family's term is larger than the
+        # block check's, so the guard need not count the block check
         basis = weyl_basis(d)
         amplitudes = ControlAmplitudes.uniform(orders.m_orders)
         rho = np.eye(d, dtype=complex) / d
         runs = [
             lambda: apply_switch(orders, basis, amplitudes, rho),
             lambda: check_completeness(build_switch_kraus(orders, basis)),
+            lambda: _block_residual(orders, basis, amplitudes, rho),
         ]
         peaks = []
         for run in runs:
@@ -377,6 +380,8 @@ class TestBuildSwitchKraus:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        # the first run built the map that the block check takes as kept
+        peaks[2] += sum(array.nbytes for array in _switch_map(orders, basis))
         guard = check_size_guard(orders.n_channels, orders.m_orders, d)
         assert 0.9 * guard <= max(peaks) <= 1.1 * guard
 
@@ -739,9 +744,11 @@ class TestHolevoOracle:
         assert got == pytest.approx(0.1924, abs=5e-5)
 
     def test_memory_is_the_guard_oracle_term(self):
-        # the kept blocks and index, one output state and what
-        # hermitian_spectrum holds beside it: 16 P d^4 + 64 (M d)^2 bytes,
-        # within 5 %, over all 120 orders, whose relative permutations are all P = 120.
+        # the kept blocks and index, the 2^14 bytes the guard allows for small
+        # objects, the 65 inputs, one output state and what hermitian_spectrum
+        # holds beside it: 16 P d^4 + 8 (M d)^2 + 2^14 + 16 * 65 d^2
+        # + 56 (M d)^2 bytes, within 5 %, over all 120 orders, whose relative
+        # permutations are all P = 120.
         # The warm-up takes another basis object, so the measured call still
         # builds its own map rather than taking the kept one.
         orders, d = all_orders(5), 2
@@ -753,7 +760,8 @@ class TestHolevoOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        term = 16 * 120 * d**4 + 64 * (orders.m_orders * d) ** 2
+        md = orders.m_orders * d
+        term = 16 * 120 * d**4 + 8 * md**2 + 2**14 + 16 * 65 * d**2 + 56 * md**2
         assert 0.95 * term <= peak <= 1.05 * term
 
     def test_single_order_transmits_nothing(self):
@@ -818,19 +826,60 @@ class TestHolevoOracle:
             holevo_oracle(cyclic_orders(2), weyl_basis(2), n_samples=MAX_ORACLE_SAMPLES + 1)
 
     def test_state_budget_boundary(self):
-        # N=2, d=13: the inputs, one 13 x 13 complex matrix per sample plus
-        # the mixed one, and one 26 x 26 output state.  At d=2 the sample
-        # cap binds long before the budget.
-        orders = cyclic_orders(2)
-        largest = (BYTE_BUDGET // 16 - 26 * 26) // (13 * 13) - 1
+        # N=2, d=13: beside the kept map and 2^14 bytes of small objects, the
+        # guard's oracle stage binds while the input stack, one 13 x 13
+        # complex matrix per sample plus the mixed one, is filled from the
+        # pure vectors and their conjugate.  At d=2 the sample cap binds
+        # long before the budget.
+        kept = 16 * 2 * 13**4 + 8 * 26**2
+        largest = (BYTE_BUDGET - kept - 2**14 - 16 * 13**2) // (16 * 13**2 + 32 * 13)
         assert largest < MAX_ORACLE_SAMPLES
-        check_oracle_size(orders, 13, largest)
+        check_size_guard(2, 2, 13, largest)
         with pytest.raises(SizeGuardError):
-            check_oracle_size(orders, 13, largest + 1)
+            check_size_guard(2, 2, 13, largest + 1)
+        with pytest.raises(SizeGuardError):
+            holevo_oracle(cyclic_orders(2), weyl_basis(13), n_samples=largest + 1)
+        check_size_guard(2, 2, 2, MAX_ORACLE_SAMPLES)
 
     def test_state_budget_message_past_the_float_range(self):
-        with pytest.raises(SizeGuardError, match="need ~2\\^1998 bytes"):
-            check_oracle_size(cyclic_orders(2), 10**200, 1)
+        # 82 d n bytes of draws for n = 10^600 samples is past the largest float
+        with pytest.raises(SizeGuardError, match="needs ~2\\^2001 bytes"):
+            check_size_guard(2, 2, 2, 10**600)
+
+    @pytest.mark.parametrize(("d", "bits"), [(2, 18), (4, 18), (6, 22)])
+    def test_guard_counts_the_oracle_peak(self, monkeypatch, d, bits):
+        # Under a small budget, the largest sample count the guard admits
+        # runs within it, and the guard's count is the tracemalloc peak of
+        # the whole call, the map's build included, within 10 %.  One more
+        # sample is refused before any map is built or any number drawn.
+        monkeypatch.setattr(switch, "BYTE_BUDGET", 2**bits)
+        orders = cyclic_orders(2)
+        low, high = 1, MAX_ORACLE_SAMPLES
+        while low < high:
+            mid = (low + high + 1) // 2
+            try:
+                check_size_guard(2, 2, d, mid)
+                low = mid
+            except SizeGuardError:
+                high = mid - 1
+        count = check_size_guard(2, 2, d, low)
+        basis = weyl_basis(d)
+        tracemalloc.start()
+        try:
+            holevo_oracle(orders, basis, n_samples=low)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count <= 2**bits
+        assert count <= 1.1 * peak
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(switch, "_switch_map", never)
+        monkeypatch.setattr(NormalSource, "standard_normal", never)
+        with pytest.raises(SizeGuardError):
+            holevo_oracle(orders, basis, n_samples=low + 1)
 
 
 class TestNormalSource:
