@@ -9,12 +9,15 @@ cross-term behavior reproducible in regression tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .errors import DimensionMismatchError, DimensionOutOfRangeError, DomainError
 from .linalg import gram
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 MIN_DIM = 2
 MAX_DIM = 16

@@ -3,7 +3,9 @@
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries in
 row-major order.  Density matrices are square, Hermitian, positive
 semidefinite and unit trace; spectra are 1-D ``float64`` arrays sorted in
-descending order, computed by LAPACK through ``numpy.linalg.eigvalsh``.
+descending order, computed by LAPACK through ``numpy.linalg.eigvalsh``, and
+the spectrum checks and the entropy also take a 2-D stack of them, one per
+row.
 Inputs with a NaN or infinite entry are rejected, never passed on.
 Everything here is a pure function: inputs are never mutated.
 """
@@ -109,12 +111,18 @@ def gram(x: np.ndarray) -> np.ndarray:
 
 
 def validate_spectrum(values: np.ndarray) -> None:
-    """Raise unless ``values`` is a density-matrix spectrum.
+    """Raise unless ``values`` is a density-matrix spectrum, or a stack of them.
 
-    That is: nonempty, every value finite and in ``[-1e-10, 1 + 1e-10]``,
-    and total weight 1 within ``1e-8``.
+    ``values`` is one spectrum, shape (k,), or a stack, shape (r, k), with
+    one spectrum per row; a spectrum is a one-row stack.  Each row must be
+    nonempty, every value finite and in ``[-1e-10, 1 + 1e-10]``, and each
+    row's total weight 1 within ``1e-8``.  One bad row fails the stack.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2):
+        raise InvalidSpectrumError(
+            f"expected a spectrum (k,) or a stack (r, k), got shape {values.shape}"
+        )
     if values.size == 0:
         raise InvalidSpectrumError("empty spectrum")
     if not np.isfinite(values).all():
@@ -123,22 +131,32 @@ def validate_spectrum(values: np.ndarray) -> None:
         raise InvalidSpectrumError(
             f"spectrum values outside [0, 1]: min={values.min():.3e}, max={values.max():.3e}"
         )
-    total = float(values.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise InvalidSpectrumError(f"spectrum sums to {total!r}, expected 1")
+    totals = np.atleast_1d(values.sum(axis=-1))
+    worst = float(totals[np.abs(totals - 1.0).argmax()])
+    if abs(worst - 1.0) > 1e-8:
+        raise InvalidSpectrumError(f"spectrum sums to {worst!r}, expected 1")
 
 
-def von_neumann_entropy(spectrum: np.ndarray) -> float:
+def von_neumann_entropy(spectrum: np.ndarray) -> float | np.ndarray:
     """Entropy in bits, ``-sum(p * log2(p))`` with ``0 * log 0 == 0``.
 
-    The input must pass ``validate_spectrum``.  Small negative values from
-    numerical jitter are clamped to zero.
+    ``spectrum`` is one spectrum, shape (k,), whose entropy is returned as a
+    float, or a stack, shape (r, k), whose r row entropies are returned as
+    an array; a spectrum is taken as a one-row stack, so row i of a stack
+    gets the same bits as that row alone.  The input must pass
+    ``validate_spectrum``.  Small negative values from numerical jitter are
+    clamped to zero.  Beside the input it holds two (r, k) float arrays, the
+    clamped values and their terms, and a transient (r, k) mask.
     """
-    values = np.asarray(spectrum, dtype=float).ravel()
+    values = np.asarray(spectrum, dtype=float)
     validate_spectrum(values)
-    positive = np.clip(values, 0.0, None)
-    positive = positive[positive > 0.0]
-    return max(float(-(positive * np.log2(positive)).sum()), 0.0)
+    positive = np.clip(values.reshape(-1, values.shape[-1]), 0.0, None)
+    terms = np.zeros_like(positive)
+    np.log2(positive, out=terms, where=positive > 0.0)
+    terms *= positive
+    del positive
+    entropies = np.maximum(-terms.sum(axis=1), 0.0)
+    return float(entropies[0]) if values.ndim == 1 else entropies
 
 
 def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:

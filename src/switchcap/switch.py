@@ -219,11 +219,14 @@ def check_size_guard(
       product, 48 P d^(N+3) bytes; the kept map is emptied first.
     * The oracle, for n = max(n_samples, d) pure inputs, holds K and 2^14
       bytes of generator state and array headers, and in turn: its normal
-      draws while ``NormalSource`` lists them, up to 41 bytes each (8 in
-      the array, 24 per float, 9 of list), 82 d n bytes; its input stack,
-      I = 16 (n + 1) d^2 bytes, beside the pure vectors and their
-      conjugate, I + 32 d n; and I beside one output state and
-      ``hermitian_spectrum``'s copies, I + 56 (M d)^2.
+      draws, 8 bytes each in the array ``NormalSource`` fills, beside up to
+      three complex (n, d) arrays while they become the pure vectors,
+      64 d n bytes; its input stack, I = 16 (n + 1) d^2 bytes, beside the
+      pure vectors and their conjugate, I + 32 d n; I and the stacked
+      spectra, S = 8 (n + 1) M d bytes, beside one output state and
+      ``hermitian_spectrum``'s copies, I + S + 56 (M d)^2; and S beside
+      the single entropy pass's two (n + 1, M d) float arrays and its
+      mask, 25 (n + 1) M d.
 
     ``verify``'s block check (``cli._block_residual``) holds about
     61 (M d)^2 bytes beside K and is not counted: M <= N! keeps it below
@@ -242,11 +245,13 @@ def check_size_guard(
     p = _relative_order_bound(n_channels, m)
     kept = 16 * p * dim**4 + 8 * (m * dim) ** 2
     oracle = kept + 2**14
+    inputs, spectra = 16 * (n + 1) * dim**2, 8 * (n + 1) * m * dim
     size = max(
         16 * dim ** (2 * n_channels) * dim**2 * (m + 1) + kept,
         48 * p * dim ** (n_channels + 3),
-        oracle + 82 * dim * n,
-        oracle + 16 * (n + 1) * dim**2 + max(32 * dim * n, 56 * (m * dim) ** 2),
+        oracle + max(64 * dim * n, inputs + 32 * dim * n),
+        oracle + inputs + spectra + 56 * (m * dim) ** 2,
+        oracle + 25 * (n + 1) * m * dim,
     )
     if size > BYTE_BUDGET:
         # Past the float range the count is given as a power of two.
@@ -434,10 +439,9 @@ class NormalSource:
         self._gauss = random.Random(seed).gauss
 
     def standard_normal(self, size: int | tuple[int, ...]) -> np.ndarray:
-        out = np.empty(size)
-        gauss = self._gauss
-        out.reshape(-1)[:] = [gauss(0.0, 1.0) for _ in range(out.size)]
-        return out
+        count = math.prod(np.atleast_1d(size))
+        draws = itertools.starmap(self._gauss, itertools.repeat((0.0, 1.0), count))
+        return np.fromiter(draws, dtype=float, count=count).reshape(size)
 
 
 def haar_random_state(dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
@@ -477,7 +481,10 @@ def holevo_oracle(
     with another basis, adding samples can only lower the reported minimum.
     A negative seed or a sample count outside [1, MAX_ORACLE_SAMPLES] raises
     DomainError, and a count that ``check_size_guard`` refuses SizeGuardError,
-    before any state is drawn; the output states are taken one at a time.
+    before any state is drawn.  The output states are taken one at a time,
+    each spectrum written into its row of one (n_samples + 1, M*d) array,
+    mixed input first, and every entropy comes from one
+    ``von_neumann_entropy`` call on that stack.
     """
     rng = NormalSource(seed)
     d = basis.dim
@@ -501,8 +508,10 @@ def holevo_oracle(
     for a, b in itertools.product(range(d), repeat=2):
         np.multiply(pure[:, a], conj[:, b], out=rhos[1:, a, b])
     del pure, conj
-    entropies = (
-        von_neumann_entropy(hermitian_spectrum(_output_state(switch_map, amplitudes, rho)))
-        for rho in rhos
-    )
-    return next(entropies) - min(entropies)
+    # One spectrum per row, the mixed input's first, then every entropy at once.
+    spectra = np.empty((len(rhos), orders.m_orders * d))
+    for s in range(len(rhos)):
+        spectra[s] = hermitian_spectrum(_output_state(switch_map, amplitudes, rhos[s]))
+    del rhos
+    entropies = von_neumann_entropy(spectra)
+    return float(entropies[0] - entropies[1:].min())

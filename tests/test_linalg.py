@@ -210,6 +210,59 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(np.array(bad))
 
 
+def random_spectra(r, k, seed):
+    """(r, k) stack of spectra, some rows with zeros and a jitter negative."""
+    rng = np.random.default_rng(seed)
+    stack = rng.exponential(size=(r, k))
+    stack[::3, k // 2 :] = 0.0
+    stack[1::4, -1] = -5e-11
+    stack /= stack.sum(axis=1, keepdims=True)
+    return stack
+
+
+def bad_stacks():
+    """Stacks in which one row, or the row length, is invalid."""
+    nan, negative, short = (random_spectra(7, 6, 31) for _ in range(3))
+    nan[3, 1] = np.nan
+    negative[5, 0] = -1e-3
+    short[2] *= 0.9
+    return [
+        pytest.param(nan, id="nan"),
+        pytest.param(negative, id="negative"),
+        pytest.param(short, id="sum-0.9"),
+        pytest.param(np.zeros((7, 0)), id="k-0"),
+    ]
+
+
+class TestSpectrumStacks:
+    @pytest.mark.parametrize(("r", "k"), [(1, 2), (65, 12), (40, 9), (8, 48)])
+    def test_rows_match_single_spectra_bit_for_bit(self, r, k):
+        # and the sum over only the positive entries, to rounding
+        stack = random_spectra(r, k, 17 + k)
+        entropies = von_neumann_entropy(stack)
+        assert entropies.shape == (r,)
+        for i in range(r):
+            single = von_neumann_entropy(stack[i])
+            assert isinstance(single, float)
+            assert entropies[i] == single
+            p = stack[i][stack[i] > 0.0]
+            assert abs(single + (p * np.log2(p)).sum()) < 1e-14
+
+    @pytest.mark.parametrize("stack", bad_stacks())
+    def test_one_bad_row_fails_the_stack(self, stack):
+        with pytest.raises(InvalidSpectrumError):
+            validate_spectrum(stack)
+        with pytest.raises(InvalidSpectrumError):
+            von_neumann_entropy(stack)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2)], ids=str)
+    def test_rejects_other_ranks(self, shape):
+        with pytest.raises(InvalidSpectrumError, match="shape"):
+            validate_spectrum(np.full(shape, 0.125))
+        with pytest.raises(InvalidSpectrumError, match="shape"):
+            von_neumann_entropy(np.full(shape, 0.125))
+
+
 class TestPartialTrace:
     def test_product_state_recovers_factor(self):
         rho_a = np.array([[0.7, 0.1j], [-0.1j, 0.3]])

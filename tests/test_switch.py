@@ -725,6 +725,9 @@ class TestCrossTerm:
                     assert miss[i, j] > 1e-3 or miss[i, j] < 1e-12
 
 
+EXPLICIT_N4 = OrderSet(orders=((0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1)))
+
+
 class TestHolevoOracle:
     def test_two_channels_qubit(self):
         got = holevo_oracle(cyclic_orders(2), weyl_basis(2), n_samples=64, seed=42)
@@ -743,12 +746,38 @@ class TestHolevoOracle:
         got = holevo_oracle(all_orders(5), weyl_basis(2))
         assert got == pytest.approx(0.1924, abs=5e-5)
 
+    @pytest.mark.parametrize(
+        ("orders", "d", "seed", "chi"),
+        [
+            (cyclic_orders(4), 3, 42, 0.04411041774840241),
+            (all_orders(4), 2, 42, 0.15327451815291493),
+            (all_orders(3), 3, 42, 0.03396076206982723),
+            (cyclic_orders(5), 3, 42, 0.05373234828123774),
+            (all_orders(5), 2, 42, 0.19237270727010536),
+            (EXPLICIT_N4, 3, 42, 0.00043295985179758745),
+            (cyclic_orders(4), 3, 7919, 0.04411041774840241),
+            (all_orders(4), 2, 7919, 0.15327451815291493),
+            (all_orders(3), 3, 7919, 0.03396076206982812),
+            (cyclic_orders(5), 3, 7919, 0.05373234828123863),
+            (all_orders(5), 2, 7919, 0.19237270727010714),
+            (EXPLICIT_N4, 3, 7919, 0.00043295985179758745),
+        ],
+        ids=[
+            f"{name}-{seed}"
+            for seed in (42, 7919)
+            for name in ("cyclic4-d3", "all4-d2", "all3-d3", "cyclic5-d3", "all5-d2", "explicit-d3")
+        ],
+    )
+    def test_pinned_values(self, orders, d, seed, chi):
+        # values of the oracle that took one entropy per output state, to 1e-14
+        assert abs(holevo_oracle(orders, weyl_basis(d), seed=seed) - chi) <= 1e-14
+
     def test_memory_is_the_guard_oracle_term(self):
         # the kept blocks and index, the 2^14 bytes the guard allows for small
-        # objects, the 65 inputs, one output state and what hermitian_spectrum
-        # holds beside it: 16 P d^4 + 8 (M d)^2 + 2^14 + 16 * 65 d^2
-        # + 56 (M d)^2 bytes, within 5 %, over all 120 orders, whose relative
-        # permutations are all P = 120.
+        # objects, the 65 inputs, the 65 stacked spectra, one output state and
+        # what hermitian_spectrum holds beside it: 16 P d^4 + 8 (M d)^2 + 2^14
+        # + 16 * 65 d^2 + 8 * 65 M d + 56 (M d)^2 bytes, within 5 %, over all
+        # 120 orders, whose relative permutations are all P = 120.
         # The warm-up takes another basis object, so the measured call still
         # builds its own map rather than taking the kept one.
         orders, d = all_orders(5), 2
@@ -761,7 +790,7 @@ class TestHolevoOracle:
         finally:
             tracemalloc.stop()
         md = orders.m_orders * d
-        term = 16 * 120 * d**4 + 8 * md**2 + 2**14 + 16 * 65 * d**2 + 56 * md**2
+        term = 16 * 120 * d**4 + 8 * md**2 + 2**14 + 16 * 65 * d**2 + 8 * 65 * md + 56 * md**2
         assert 0.95 * term <= peak <= 1.05 * term
 
     def test_single_order_transmits_nothing(self):
@@ -842,7 +871,9 @@ class TestHolevoOracle:
         check_size_guard(2, 2, 2, MAX_ORACLE_SAMPLES)
 
     def test_state_budget_message_past_the_float_range(self):
-        # 82 d n bytes of draws for n = 10^600 samples is past the largest float
+        # the input stack beside the pure vectors and their conjugate,
+        # 16 (n + 1) d^2 + 32 d n bytes for n = 10^600 samples, is past the
+        # largest float
         with pytest.raises(SizeGuardError, match="needs ~2\\^2001 bytes"):
             check_size_guard(2, 2, 2, 10**600)
 
