@@ -15,6 +15,9 @@ p of rho:
 
 The reduced control state has the single eigenvalue (M - 1 + d^2) / (M d^2)
 plus (d^2 - 1) / (M d^2) with multiplicity M - 1.
+
+``holevo`` owns the entropies of these two spectra, S_min at a pure input
+and S(control): ``s_min`` and ``control_entropy`` return its fields.
 """
 
 from __future__ import annotations
@@ -79,47 +82,44 @@ def output_spectrum(m_orders: int, dim: int, rho_spectrum: np.ndarray) -> np.nda
 
 
 def s_min(m_orders: int, dim: int) -> float:
-    """Smallest output entropy over target states, attained at pure inputs."""
-    _check_point(m_orders, dim)
-    return _s_min(m_orders, dim)
+    """Smallest output entropy over target states, attained at pure inputs.
 
-
-def _s_min(m: int, d: int) -> float:
-    if m == 1:
-        return math.log2(d)
-    md2 = m * d * d
-    top = (d + m - 1) / md2
-    low = (d - 1) / md2
-    return -(
-        top * math.log2(top)
-        + (m - 1) * (d - 1) / md2 * math.log2(low)
-        + (d - 1) / d * math.log2(1.0 / (m * d))
-    )
+    The closed form lives in ``holevo``; this returns its ``s_min``.
+    """
+    return holevo(m_orders, dim).s_min
 
 
 def control_entropy(m_orders: int, dim: int) -> float:
-    """Entropy of the reduced control state after the switch."""
-    _check_point(m_orders, dim)
-    return _control_entropy(m_orders, dim)
+    """Entropy of the reduced control state after the switch.
 
-
-def _control_entropy(m: int, d: int) -> float:
-    if m == 1:
-        return 0.0
-    md2 = m * d * d
-    top = (m - 1 + d * d) / md2
-    rest = (d * d - 1) / md2
-    return -(top * math.log2(top) + (m - 1) * rest * math.log2(rest))
+    The closed form lives in ``holevo``; this returns its ``s_control``.
+    """
+    return holevo(m_orders, dim).s_control
 
 
 def holevo(m_orders: int, dim: int) -> CapacityReport:
     """Holevo quantity log2(d) + S(control) - S_min for M superposed orders.
 
+    This is the one place the closed forms of S_min and S(control) are
+    written; ``s_min`` and ``control_entropy`` read them from the report.
     A single order (M=1) transmits nothing: chi is exactly 0.
     """
     _check_point(m_orders, dim)
-    smin = _s_min(m_orders, dim)
-    scontrol = _control_entropy(m_orders, dim)
+    m, d = m_orders, dim
+    if m == 1:
+        smin, scontrol = math.log2(d), 0.0
+    else:
+        md2 = m * d * d
+        top = (d + m - 1) / md2
+        low = (d - 1) / md2
+        smin = -(
+            top * math.log2(top)
+            + (m - 1) * (d - 1) / md2 * math.log2(low)
+            + (d - 1) / d * math.log2(1.0 / (m * d))
+        )
+        top = (m - 1 + d * d) / md2
+        rest = (d * d - 1) / md2
+        scontrol = -(top * math.log2(top) + (m - 1) * rest * math.log2(rest))
     chi = math.log2(dim) + scontrol - smin
     return CapacityReport(m_orders, dim, smin, scontrol, chi)
 

@@ -4,9 +4,10 @@ Subcommands:
 
 * ``table``  - print rate summaries for an (orders, dims) grid.
 * ``sweep``  - write the same grid as CSV or JSON for plotting.  Both are
-  ``cmd_grid``: every format is streamed one point at a time, so memory
-  does not grow with the grid, an interrupted sweep leaves the rows
-  written so far in ``--out``, and every output ends with a newline.
+  ``cmd_grid``: every format is computed and written in chunks of 256
+  rows, so memory does not grow with the grid, an interrupted sweep leaves
+  the whole chunks written so far in ``--out``, and every output ends with
+  a newline.
 * ``verify`` - compare the brute-force switch output and sampled rate
   against the closed forms, emitting a machine-readable report.
 * ``limit``  - print the large-M saturation value with a convergence column.
@@ -27,6 +28,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import operator
 import os
 import sys
 import time
@@ -77,6 +79,10 @@ FORMATS = {
     "csv": (CSV_HEADER + "\n", "%d,%d,%.12g,%.12g,%.12g\n", "", ""),
     "json": ('{"rows": [', JSON_ROW, ", ", '], "meta": %(meta)s}\n'),
 }
+# The grid is computed, formatted and written this many rows at a time, and
+# each report's fields are taken in the templates' column order.
+_GRID_CHUNK = 256
+_ROW_FIELDS = operator.itemgetter(0, 1, 4, 2, 3)
 
 
 def _validate_grid(dims: tuple[int, ...], orders: tuple[int, ...]) -> None:
@@ -125,14 +131,16 @@ def parse_permutations(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _grid_lines(fmt: str, rows: Iterable[CapacityReport], seed: int) -> Iterator[str]:
-    """Stream one grid document: each row is formatted as it is computed."""
+    """Stream one grid document, _GRID_CHUNK rows per string as they are computed."""
     head, row, between, tail = FORMATS[fmt]
     yield head
-    # Every row after the first starts with the separator.
-    template, later = row, between + row
-    for m, d, s_min, s_control, chi in rows:
-        yield template % (m, d, chi, s_min, s_control)
-        template = later
+    rows = iter(rows)
+    later = between + row
+    skip = len(between)  # no separator before the first row
+    while chunk := list(itertools.islice(rows, _GRID_CHUNK)):
+        fields = itertools.chain.from_iterable(map(_ROW_FIELDS, chunk))
+        yield (later * len(chunk))[skip:] % tuple(fields)
+        skip = 0
     if tail:
         yield tail % {"meta": json.dumps(_meta(seed))}
 
@@ -159,7 +167,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     out = args.out
     target = contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8")
     with target as handle:
-        # Each row is computed, formatted and written before the next.
+        # Each chunk of rows is computed, formatted and written before the next.
         handle.writelines(lines)
     return 0
 

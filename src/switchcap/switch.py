@@ -384,12 +384,15 @@ def _contract(twirl: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return state.reshape(len(perms), d, -1, d, d, d).sum(axis=2)
 
 
-def _output_state(switch_map: SwitchMap, amplitudes: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Joint output for one target state, shape (M*d, M*d)."""
+def _output_state(switch_map: SwitchMap, weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Joint output for one target state, shape (M*d, M*d).
+
+    ``weights`` is the (M, 1, M, 1) array of amplitude products c_i c_j.
+    """
     blocks, index = switch_map
-    m, d = len(amplitudes), len(rho)
+    m, d = len(weights), len(rho)
     raw = (blocks @ rho.ravel()).take(index)
-    raw *= np.outer(amplitudes, amplitudes)[:, None, :, None]
+    raw *= weights
     return raw.reshape(m * d, m * d)
 
 
@@ -415,7 +418,8 @@ def apply_switch(
         raise DimensionMismatchError(
             f"{len(amplitudes)} amplitudes for {orders.m_orders} orders"
         )
-    state = _output_state(_switch_map(orders, basis), amplitudes.as_array(), rho)
+    c = amplitudes.as_array()
+    state = _output_state(_switch_map(orders, basis), np.outer(c, c)[:, None, :, None], rho)
     return SwitchOutput(m_orders=orders.m_orders, dim=d, state=state)
 
 
@@ -492,7 +496,8 @@ def holevo_oracle(
         raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
     check_size_guard(orders.n_channels, orders.m_orders, d, n_samples)
     switch_map = _switch_map(orders, basis)
-    amplitudes = ControlAmplitudes.uniform(orders.m_orders).as_array()
+    c = ControlAmplitudes.uniform(orders.m_orders).as_array()
+    weights = np.outer(c, c)[:, None, :, None]
 
     # One draw of every sample's real and imaginary parts, in the stream
     # order of one haar_random_state call per sample.
@@ -511,7 +516,7 @@ def holevo_oracle(
     # One spectrum per row, the mixed input's first, then every entropy at once.
     spectra = np.empty((len(rhos), orders.m_orders * d))
     for s in range(len(rhos)):
-        spectra[s] = hermitian_spectrum(_output_state(switch_map, amplitudes, rhos[s]))
+        spectra[s] = hermitian_spectrum(_output_state(switch_map, weights, rhos[s]))
     del rhos
     entropies = von_neumann_entropy(spectra)
     return float(entropies[0] - entropies[1:].min())

@@ -193,6 +193,30 @@ class TestHolevo:
         assert report.s_control == 0.0
         assert report.s_min == math.log2(d)
 
+    def test_entropy_functions_read_the_report(self):
+        for d in range(2, 17):
+            for m in range(1, 2001):
+                r = holevo(m, d)
+                assert s_min(m, d) == r.s_min
+                assert control_entropy(m, d) == r.s_control
+
+    # (M, d): S_min, S(control) and chi to the last bit.  chi at (6, 2) over
+    # chi at (2, 2) is the paper's "almost 3 fold" gain from 2 to 3 channels.
+    PINNED = {
+        (2, 2): (1.9056390622295665, 0.954434002924965, 0.04879494069539869),
+        (6, 2): (3.2661506484543548, 2.4056390622295662, 0.13948841377521148),
+        (24, 3): (5.919489202276825, 4.458591205867172, 0.1240645043115034),
+        (20000, 16): (18.252946991436353, 14.268389761441302, 0.01544277000494887),
+        (1, 7): (2.807354922057604, 0.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("point", sorted(PINNED))
+    def test_pinned_bits(self, point):
+        m, d = point
+        expected = self.PINNED[point]
+        assert (s_min(m, d), control_entropy(m, d), holevo(m, d).chi) == expected
+        assert holevo(m, d)[2:] == expected
+
     def test_identity_holds_on_grid(self):
         for m in range(1, 101):
             for d in range(2, 17):

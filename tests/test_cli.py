@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from switchcap.cli import (
     BLOCK_TOL,
     CSV_HEADER,
     ORDER_RANGE,
+    _GRID_CHUNK,
     _cyclic_mask,
     _grid_lines,
     main,
@@ -46,6 +48,46 @@ MIXED_REPORTS = [holevo(m, d) for d in (2, 3, 16, 64) for m in (1, 2, 3, 7, 1000
 
 # Two orders of 520 channels, forward and reversed, as --perms takes them.
 WIDE_PAIR = ";".join(",".join(map(str, order)) for order in (range(520), range(519, -1, -1)))
+
+
+def csv_reference(reports):
+    """The CSV document, one format(x, ".12g") per float field."""
+    rows = [
+        ",".join(
+            [str(r.m_orders), str(r.dim)]
+            + [format(x, ".12g") for x in (r.chi, r.s_min, r.s_control)]
+        )
+        + "\n"
+        for r in reports
+    ]
+    return "".join([CSV_HEADER + "\n", *rows])
+
+
+def json_reference(reports, seed):
+    """The JSON document as json.dumps writes it, with one trailing newline."""
+    rows = [
+        {
+            "m_orders": r.m_orders,
+            "dim": r.dim,
+            "chi_bits": r.chi,
+            "s_min_bits": r.s_min,
+            "s_control_bits": r.s_control,
+        }
+        for r in reports
+    ]
+    meta = {"seed": seed, "version": switchcap.__version__}
+    return json.dumps({"rows": rows, "meta": meta}) + "\n"
+
+
+def text_reference(reports):
+    """The text table in f-string columns."""
+    head = f"{'m_orders':>8} {'dim':>4} {'chi_bits':>9} {'s_min_bits':>12} {'s_control_bits':>15}\n"
+    rows = [
+        f"{r.m_orders:>8} {r.dim:>4} {r.chi:>9.4f} {r.s_min:>12.6f} {r.s_control:>15.6f}\n"
+        for r in reports
+    ]
+    return "".join([head, *rows])
+
 
 PRINTED_RATES = [
     "0.0488",
@@ -171,47 +213,49 @@ class TestSweep:
         self._table_matches_sweep(tmp_path, capsys, "json")
 
     def test_csv_rows_match_format_per_field(self):
-        reference = [CSV_HEADER + "\n"] + [
-            ",".join(
-                [str(r.m_orders), str(r.dim)]
-                + [format(x, ".12g") for x in (r.chi, r.s_min, r.s_control)]
-            )
-            + "\n"
-            for r in MIXED_REPORTS
-        ]
         lines = list(_grid_lines("csv", MIXED_REPORTS, 42))
-        assert "".join(lines).encode() == "".join(reference).encode()
+        assert "".join(lines).encode() == csv_reference(MIXED_REPORTS).encode()
         # a single order transmits nothing, written as a bare 0
         assert lines[1].startswith("1,2,0,")
 
     def test_json_rows_match_json_dumps(self):
-        rows = [
-            {
-                "m_orders": r.m_orders,
-                "dim": r.dim,
-                "chi_bits": r.chi,
-                "s_min_bits": r.s_min,
-                "s_control_bits": r.s_control,
-            }
-            for r in MIXED_REPORTS
-        ]
-        meta = {"seed": 7, "version": switchcap.__version__}
-        reference = json.dumps({"rows": rows, "meta": meta})
         streamed = "".join(_grid_lines("json", MIXED_REPORTS, 7))
-        assert streamed.encode() == (reference + "\n").encode()
+        assert streamed.encode() == json_reference(MIXED_REPORTS, 7).encode()
         # NumPy floats, as a vectorized grid would yield, write the same bytes
         as_numpy = [type(r)(r.m_orders, r.dim, *map(np.float64, r[2:])) for r in MIXED_REPORTS]
         assert "".join(_grid_lines("json", as_numpy, 7)) == streamed
 
     def test_text_rows_match_fstring_columns(self):
-        reference = [
-            f"{'m_orders':>8} {'dim':>4} {'chi_bits':>9} {'s_min_bits':>12} {'s_control_bits':>15}\n"
-        ] + [
-            f"{r.m_orders:>8} {r.dim:>4} {r.chi:>9.4f} {r.s_min:>12.6f} {r.s_control:>15.6f}\n"
-            for r in MIXED_REPORTS
-        ]
         streamed = "".join(_grid_lines("text", MIXED_REPORTS, 42))
-        assert streamed.encode() == "".join(reference).encode()
+        assert streamed.encode() == text_reference(MIXED_REPORTS).encode()
+
+    @pytest.mark.parametrize(
+        ("dims", "orders"),
+        [("2", "1"), ("2", "1..255"), ("2", "1..256"), ("2", "1..257"), ("2,3", "1..258")],
+        ids=["1", "255", "256", "257", "516"],
+    )
+    def test_chunk_boundaries(self, tmp_path, capsys, dims, orders):
+        # one row, a chunk less one row, a whole chunk, a chunk and one row,
+        # and two dimensions across three chunk boundaries
+        reports = [holevo(m, d) for d in parse_int_list(dims) for m in parse_int_list(orders)]
+        grid = ["--dims", dims, "--orders", orders, "--seed", "11"]
+        references = {
+            "csv": csv_reference(reports),
+            "json": json_reference(reports, 11),
+            "text": text_reference(reports),
+        }
+        for fmt, reference in references.items():
+            pieces = list(_grid_lines(fmt, reports, 11))
+            assert "".join(pieces).encode() == reference.encode()
+            # the head, one string per chunk, and the JSON tail
+            chunks = -(-len(reports) // _GRID_CHUNK)
+            assert len(pieces) == 1 + chunks + (fmt == "json")
+            assert main(["table", *grid, "--format", fmt]) == 0
+            assert capsys.readouterr().out == reference
+            if fmt != "text":
+                out = tmp_path / f"grid.{fmt}"
+                assert main(["sweep", *grid, "--format", fmt, "--out", str(out)]) == 0
+                assert out.read_text() == reference
 
     @pytest.mark.parametrize(
         ("command", "fmt"),
@@ -741,3 +785,65 @@ def test_absurd_integer_is_an_exit_code(capsys, flag, value):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+# Values each flag of the real subcommands may take in the argv property
+# test, valid ones first and then bad ones.  Every verify case that passes
+# the argument checks is N <= 3 and d <= 3, or is refused by the size guard.
+BAD_VALUES = ["0..3", "4..2", "a", "", "65", "-1", "2.5"]
+ARGV_VALUES = {
+    "--dims": (["2", "2,3", "2..16", "3,2,3", "64"], ["1", *BAD_VALUES]),
+    "--orders": (["1", "2..6", "1..300", "6,2,6", "1000000"], ["1000001", *BAD_VALUES]),
+    "--format": (["text", "csv", "json"], ["xml"]),
+    "--seed": (["0", "42", "7919", str(10**400)], ["-7", *BAD_VALUES]),
+    "--channels": (["2", "3", "2,3", "3,2,2"], ["1", *BAD_VALUES]),
+    "--dim": (["2", "3", "2,3", "16"], ["1", *BAD_VALUES]),
+    "--mode": (["cyclic", "all", "explicit"], ["bogus"]),
+    "--perms": (
+        ["0,1;1,0", "0,1,2;1,2,0", "1,2,0;0,2,1;2,1,0", "0,1;;1,0"],
+        ["0,1;1,0,2", "0,1;0,1", "0,0;1,1", "0,2;2,0", *BAD_VALUES],
+    ),
+    "--out": (["-", "grid.out"], ["missing/grid.out", "."]),
+    "limit --dim": (["2", "3", "64"], BAD_VALUES),
+}
+# Each subcommand's flags, with the chance that a draw gives the flag.
+# --perms needs --mode explicit and --channels must then be absent, so
+# both are drawn less often.
+SUBCOMMAND_FLAGS = {
+    "table": {"--dims": 0.8, "--orders": 0.8, "--format": 0.8, "--seed": 0.8},
+    "sweep": {"--dims": 0.9, "--orders": 0.9, "--format": 0.8, "--out": 0.8, "--seed": 0.8},
+    "verify": {"--channels": 0.5, "--dim": 0.8, "--mode": 0.8, "--perms": 0.3, "--seed": 0.8},
+    "limit": {"--dim": 0.9},
+}
+
+
+def random_argv(rng):
+    """One argv: a subcommand and some of its flags, one value in six bad."""
+    if rng.random() < 0.02:
+        return rng.choice([[], ["--version"], ["bogus"], ["table", "--jobs", "2"]])
+    command = rng.choice(sorted(SUBCOMMAND_FLAGS))
+    flags = [f for f, rate in SUBCOMMAND_FLAGS[command].items() if rng.random() < rate]
+    rng.shuffle(flags)
+    argv = [command]
+    for flag in flags:
+        valid, bad = ARGV_VALUES["limit --dim" if command == "limit" else flag]
+        value = rng.choice(bad if rng.random() < 1 / 6 else valid)
+        argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    return argv
+
+
+def test_random_argv_is_an_exit_code(tmp_path, capsys, monkeypatch):
+    # main returns 0..5 and never raises, whatever argv the real flags make;
+    # --out paths are relative to tmp_path
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(20201)
+    codes = set()
+    for _ in range(1500):
+        argv = random_argv(rng)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert type(code) is int and 0 <= code <= 5, argv
+        assert "Traceback" not in err, argv
+        codes.add(code)
+    # the draw reaches success, argument errors, i/o errors and the size guard
+    assert {0, 2, 3, 4} <= codes
