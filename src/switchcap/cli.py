@@ -56,6 +56,7 @@ from .switch import (
     build_switch_kraus,
     check_size_guard,
     cyclic_orders,
+    cyclic_pairs,
     holevo_oracle,
     order_count,
     random_density_matrix,
@@ -172,21 +173,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cyclic_mask(orders: OrderSet) -> np.ndarray:
-    """(M, M) mask of the order pairs that are cyclic shifts of each other.
-
-    Each order is labelled by its smallest rotation, so the mask takes M
-    labels instead of M^2 ``cyclically_related`` calls.
-    """
-    n = orders.n_channels
-    labels: dict[tuple[int, ...], int] = {}
-    ids = np.array([
-        labels.setdefault(min(o[k:] + o[:k] for k in range(n)), len(labels))
-        for o in orders.orders
-    ])
-    return ids[:, None] == ids[None, :]
-
-
 def _block_residual(
     orders: OrderSet, basis: UnitaryBasis, amplitudes: ControlAmplitudes, rho: np.ndarray
 ) -> np.ndarray:
@@ -202,10 +188,11 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
 
     Every control block of the brute-force output is checked against the
     closed-form block for three inputs (a basis projector, a seeded random
-    mixed state, the maximally mixed state).  Blocks whose pair of orders
-    are cyclic shifts of each other must agree within BLOCK_TOL, and so must
-    the Kraus completeness residual.  Other pairs, for which the closed form
-    is not claimed, only make the status ``divergent-block`` if they miss it.
+    mixed state, the maximally mixed state).  Blocks of the pairs whose
+    relative permutation is a rotation (``cyclic_pairs``) must agree within
+    BLOCK_TOL, and so must the Kraus completeness residual.  Other pairs,
+    for which the closed form is not claimed, only make the status
+    ``divergent-block`` if they miss it.
     The sampled rate is enforced against the closed-form rate within CHI_TOL
     only when all order pairs are cyclically related.  Returns the report row.
     """
@@ -219,11 +206,12 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     pure[0, 0] = 1.0
     inputs = [pure, random_density_matrix(dim, rng), np.eye(dim, dtype=complex) / dim]
 
-    related = _cyclic_mask(orders)
     # Each input's output states are released before the next stage.
     residual = np.zeros((m, m))
     for rho in inputs:
         residual = np.maximum(residual, _block_residual(orders, basis, amplitudes, rho))
+    # After the byte guard in apply_switch, which refuses any N past 14.
+    related = cyclic_pairs(orders)
     max_block_residual = float(residual[related].max())
 
     chi_oracle = holevo_oracle(orders, basis, seed=seed)

@@ -187,20 +187,6 @@ def cyclically_related(a: Permutation, b: Permutation) -> bool:
     return any(tuple(a[(i + k) % n] for i in range(n)) == tuple(b) for k in range(n))
 
 
-def _relative_order_bound(n_channels: int, m_orders: int) -> int:
-    """min(M (M - 1) + 1, N!), a bound on the distinct relative permutations.
-
-    The diagonal pairs share the identity.  N! is built only while it stays
-    below the other bound, so a huge N costs a few steps.
-    """
-    bound, factorial = m_orders * (m_orders - 1) + 1, 1
-    for k in range(2, n_channels + 1):
-        factorial *= k
-        if factorial >= bound:
-            return bound
-    return factorial
-
-
 def check_size_guard(
     n_channels: int, m_orders: int, dim: int, n_samples: int = ORACLE_SAMPLES
 ) -> int:
@@ -232,17 +218,20 @@ def check_size_guard(
     61 (M d)^2 bytes beside K and is not counted: M <= N! keeps it below
     the family's term on every case the budget admits.
 
-    At d >= 2 an N with 2N past the budget's bit length is refused first,
+    The domain is N >= 2 and d >= 2; anything else raises DomainError.
+    Within it, an N with 2N past the budget's bit length is refused first,
     as its 2^(2N) products alone pass the budget, so d^(2N) is never built
-    as a huge integer.
+    as a huge integer and N <= 14 past the first refusal.
     """
     dim, m, n = int(dim), int(m_orders), max(int(n_samples), int(dim))
-    if dim > 1 and 2 * n_channels > BYTE_BUDGET.bit_length():
+    if n_channels < 2 or dim < 2:
+        raise DomainError(f"the size guard needs N >= 2 and d >= 2, got N={n_channels}, d={dim}")
+    if 2 * n_channels > BYTE_BUDGET.bit_length():
         raise SizeGuardError(
             f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of order "
             f"products (budget {BYTE_BUDGET:.2e})"
         )
-    p = _relative_order_bound(n_channels, m)
+    p = min(m * (m - 1) + 1, math.factorial(n_channels))
     kept = 16 * p * dim**4 + 8 * (m * dim) ** 2
     oracle = kept + 2**14
     inputs, spectra = 16 * (n + 1) * dim**2, 8 * (n + 1) * m * dim
@@ -357,8 +346,8 @@ def _relative_orders(orders: OrderSet) -> tuple[np.ndarray, np.ndarray]:
     the position pi(p) of the same channel in an order j.  Entry (i, j) of
     the (M, M) second array is the row of that pair.  Each row is keyed by
     its digits in base N, which fit an int64 for every N the byte guard
-    admits at d >= 2 (N <= 14); past N = 15 ``np.ravel_multi_index`` raises
-    rather than wraps.
+    admits (N <= 14); past N = 15 ``np.ravel_multi_index`` raises rather
+    than wraps.
     """
     sigma = np.array(orders.orders)
     m, n = sigma.shape
@@ -367,6 +356,18 @@ def _relative_orders(orders: OrderSet) -> tuple[np.ndarray, np.ndarray]:
     keys = np.ravel_multi_index(relative.T, (n,) * n)
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
     return relative[first], which.reshape(m, m)
+
+
+def cyclic_pairs(orders: OrderSet) -> np.ndarray:
+    """(M, M) mask of the order pairs whose relative permutation is a rotation.
+
+    Pair (i, j) is set when pi(p) - pi(0) = p (mod N) for its pi from
+    ``_relative_orders``, i.e. when one order is a cyclic shift of the other.
+    Like ``_relative_orders`` it takes N <= 14, every N the byte guard admits.
+    """
+    perms, which = _relative_orders(orders)
+    n = orders.n_channels
+    return ((perms - perms[:, :1]) % n == np.arange(n)).all(axis=1)[which]
 
 
 def _contract(twirl: np.ndarray, perms: np.ndarray) -> np.ndarray:

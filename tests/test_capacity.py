@@ -7,6 +7,7 @@ import pytest
 
 from switchcap.capacity import (
     DIM_RANGE,
+    _log_det_psd,
     analytic_output_state,
     asymptotic_limit,
     control_entropy,
@@ -16,7 +17,12 @@ from switchcap.capacity import (
     s_min,
 )
 from switchcap.channels import weyl_basis
-from switchcap.errors import DimensionOutOfRangeError, DomainError, InvalidSpectrumError
+from switchcap.errors import (
+    DimensionOutOfRangeError,
+    DomainError,
+    InvalidSpectrumError,
+    InvalidStateError,
+)
 from switchcap.linalg import von_neumann_entropy
 from switchcap.switch import ControlAmplitudes, apply_switch, cyclic_orders, random_density_matrix
 
@@ -310,6 +316,14 @@ class TestAnalyticOutputState:
         with pytest.raises(DomainError, match="number of orders"):
             analytic_output_state(np.eye(2) / 2, 0)
 
+    def test_rejects_a_non_square_state(self):
+        with pytest.raises(InvalidStateError, match="square"):
+            analytic_output_state(np.zeros((2, 3)), 2)
+
+    def test_rejects_an_amplitude_count_other_than_m(self):
+        with pytest.raises(DomainError, match="2 amplitudes for 3 orders"):
+            analytic_output_state(np.eye(2) / 2, 3, ControlAmplitudes.uniform(2))
+
 
 class TestDeterminantFactorization:
     def test_two_orders_pure_qubit(self):
@@ -352,6 +366,14 @@ class TestDeterminantFactorization:
         rho = np.eye(2) / 2
         with pytest.raises(DomainError):
             det_factorization_residual(2, 2, rho, ControlAmplitudes(values=(0.6, 0.8)))
+
+    def test_rejects_a_state_of_another_dimension(self):
+        with pytest.raises(DomainError, match="expected \\(2, 2\\)"):
+            det_factorization_residual(2, 2, np.eye(3) / 3, ControlAmplitudes.uniform(2))
+
+    def test_log_det_rejects_a_singular_matrix(self):
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            _log_det_psd(np.diag([1.0, 0.0]))
 
     def test_rejects_oversized_joint_dimension(self):
         rho = np.eye(2) / 2

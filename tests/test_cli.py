@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import itertools
 import json
 import os
 import random
@@ -21,7 +22,6 @@ from switchcap.cli import (
     CSV_HEADER,
     ORDER_RANGE,
     _GRID_CHUNK,
-    _cyclic_mask,
     _grid_lines,
     main,
     parse_int_list,
@@ -34,12 +34,14 @@ from switchcap.errors import (
     InvalidStateError,
     NoConvergenceError,
     NotHermitianError,
+    SizeGuardError,
 )
 from switchcap.switch import (
     OrderSet,
     all_orders,
     check_size_guard,
     cyclic_orders,
+    cyclic_pairs,
     cyclically_related,
 )
 
@@ -48,6 +50,17 @@ MIXED_REPORTS = [holevo(m, d) for d in (2, 3, 16, 64) for m in (1, 2, 3, 7, 1000
 
 # Two orders of 520 channels, forward and reversed, as --perms takes them.
 WIDE_PAIR = ";".join(",".join(map(str, order)) for order in (range(520), range(519, -1, -1)))
+
+
+def random_order_subsets():
+    """120 seeded subsets of the permutations of 3 to 6 channels, each in a shuffled order."""
+    rng = random.Random(2020)
+    subsets = []
+    for _ in range(120):
+        perms = list(itertools.permutations(range(rng.randint(3, 6))))
+        size = rng.randint(1, min(len(perms), 40))
+        subsets.append(OrderSet(orders=tuple(rng.sample(perms, size))))
+    return subsets
 
 
 def csv_reference(reports):
@@ -130,6 +143,12 @@ class TestParsing:
 
     def test_permutations(self):
         assert parse_permutations("0,1,2;1,0,2") == ((0, 1, 2), (1, 0, 2))
+
+    def test_no_permutations_rejected(self, capsys):
+        with pytest.raises(DomainError, match="no permutations"):
+            parse_permutations(";")
+        assert main(["verify", "--mode", "explicit", "--perms", ";"]) == 2
+        assert capsys.readouterr().err.startswith("switchcap: invalid arguments: ")
 
 
 class TestTable:
@@ -453,17 +472,24 @@ class TestVerify:
     @pytest.mark.parametrize(
         "orders",
         [
-            all_orders(3),
-            all_orders(4),
-            all_orders(5),
+            *(all_orders(n) for n in range(2, 6)),
+            *(cyclic_orders(n) for n in range(2, 10)),
+            *random_order_subsets(),
+            OrderSet(orders=tuple(itertools.permutations(range(6)))[::2]),
             OrderSet(orders=((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 2, 3), (3, 1, 0, 2), (0, 2, 1, 3))),
         ],
-        ids=["all-3", "all-4", "all-5", "mixed"],
+        ids=[
+            *(f"all-{n}" for n in range(2, 6)),
+            *(f"cyclic-{n}" for n in range(2, 10)),
+            *(f"random-{k}" for k in range(120)),
+            "every-second-6",
+            "mixed",
+        ],
     )
     def test_cyclic_mask_matches_pairwise_relation(self, orders):
         pairs = orders.orders
         pairwise = [[cyclically_related(a, b) for b in pairs] for a in pairs]
-        assert _cyclic_mask(orders).tolist() == pairwise
+        assert cyclic_pairs(orders).tolist() == pairwise
 
     def test_explicit_subset_of_a_cyclic_class(self, capsys):
         # two cyclically related orders of three channels behave like M=2
@@ -673,12 +699,18 @@ class TestVerify:
     def test_size_guard_before_building(self, capsys, monkeypatch, argv):
         self._size_guard(capsys, monkeypatch, argv)
 
+    def test_case_past_the_pair_keys_meets_the_guard_first(self):
+        # cyclic_pairs keys each relative permutation by its base-N digits,
+        # which pass an int64 at N = 16; the byte guard refuses that case first
+        with pytest.raises(SizeGuardError, match="N=16"):
+            run_verify_case(cyclic_orders(16), "cyclic", weyl_basis(2), 42)
+
     @staticmethod
     def _size_guard(capsys, monkeypatch, argv):
         def never(*args, **kwargs):
             raise AssertionError("an order set or a switch map was built")
 
-        for name in ("cyclic_orders", "all_orders", "_cyclic_mask"):
+        for name in ("cyclic_orders", "all_orders", "cyclic_pairs"):
             monkeypatch.setattr(f"switchcap.cli.{name}", never)
         monkeypatch.setattr("switchcap.switch._switch_map", never)
         started = time.perf_counter()

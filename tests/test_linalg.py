@@ -152,6 +152,16 @@ class TestHermitianSpectrum:
         with pytest.raises(NoConvergenceError, match="did not converge"):
             hermitian_spectrum(PAULI_X)
 
+    def test_trace_drift_raises_no_convergence(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def drift(a):
+            return eigvalsh(a) + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", drift)
+        with pytest.raises(NoConvergenceError, match="drifted from the trace"):
+            hermitian_spectrum(PAULI_X)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NotHermitianError):

@@ -24,6 +24,7 @@ from switchcap.switch import (
     ControlAmplitudes,
     NormalSource,
     OrderSet,
+    SwitchOutput,
     _switch_map,
     all_orders,
     apply_switch,
@@ -113,6 +114,8 @@ class TestOrderSets:
         assert cyclically_related((0, 2, 1), (1, 0, 2))
         assert not cyclically_related((0, 1, 2), (1, 0, 2))
         assert not cyclically_related((0, 1, 2), (0, 2, 1))
+        # orders over different channel counts are never related
+        assert not cyclically_related((0, 1, 2), (0, 1))
 
 
 class TestControlAmplitudes:
@@ -128,6 +131,12 @@ class TestControlAmplitudes:
     def test_rejects_negative(self):
         with pytest.raises(InvalidStateError):
             ControlAmplitudes(values=(-0.6, 0.8))
+
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidStateError, match="empty"):
+            ControlAmplitudes(values=())
+        with pytest.raises(DomainError):
+            ControlAmplitudes.uniform(0)
 
     @pytest.mark.parametrize(
         "values",
@@ -292,11 +301,12 @@ class TestBuildSwitchKraus:
 
     def test_size_guard_decisions_on_a_grid(self):
         # Largest admitted M in 1..130 for each (N, d), N in 2..15 and d in
-        # 1..16, from max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), O + K)
+        # 2..16, from max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), O + K)
         # bytes with K = 16 P d^4 + 8 (M d)^2, P = min(M (M - 1) + 1, N!) and
-        # O the oracle's stages at 64 samples, against 2^28.  d = 1 and the
-        # pairs in all_m admit every M; the other pairs admit none.  The
-        # contraction's term binds at (8, 2) and the products' everywhere else.
+        # O the oracle's stages at 64 samples, against 2^28.  The pairs in
+        # all_m admit every M; the other pairs admit none.  The contraction's
+        # term binds at (8, 2) and the products' everywhere else.  d = 1 is
+        # outside the guard's domain at every M.
         largest = {
             (2, 8): 62, (2, 9): 30, (2, 10): 15,
             (2, 11): 8, (2, 12): 4, (2, 13): 2, (2, 14): 1,
@@ -309,23 +319,35 @@ class TestBuildSwitchKraus:
             (4, 2), (4, 3), (5, 2), (6, 2), (7, 2),
         }
         for n, d in itertools.product(range(2, 16), range(1, 17)):
-            bound = 130 if d == 1 or (n, d) in all_m else largest.get((n, d), 0)
+            bound = 130 if (n, d) in all_m else largest.get((n, d), 0)
             for m in range(1, 131):
-                if m <= bound:
+                if d == 1:
+                    with pytest.raises(DomainError):
+                        check_size_guard(n, m, d)
+                elif m <= bound:
                     check_size_guard(n, m, d)
                 else:
                     with pytest.raises(SizeGuardError):
                         check_size_guard(n, m, d)
 
     def test_size_guard_counts_exact_integers(self):
-        # d^(2N) is 1 at d = 1, so a huge N costs nothing there
-        check_size_guard(10**400, 1, 1)
+        # d = 1 is outside the domain, so a huge N there is refused before any count
+        with pytest.raises(DomainError):
+            check_size_guard(10**400, 1, 1)
         for n in (10**400, 15):
             with pytest.raises(SizeGuardError, match=f"over 2\\^{2 * n} bytes"):
                 check_size_guard(n, 1, 2)
         # 16 3^28 9 (10^4 + 1) bytes is past 2^63: a numpy d is counted as a Python int
         with pytest.raises(SizeGuardError, match="3.29e\\+19 bytes"):
             check_size_guard(14, 10**4, np.int64(3))
+
+    @pytest.mark.parametrize(
+        ("n_channels", "dim"), [(1, 2), (0, 2), (-3, 2), (2, 1), (2, 0), (14, -2)]
+    )
+    def test_size_guard_domain(self, n_channels, dim):
+        # fewer than two channels or a dimension below 2 is refused before any count
+        with pytest.raises(DomainError, match="N >= 2 and d >= 2"):
+            check_size_guard(n_channels, 2, dim)
 
     @pytest.mark.parametrize(
         ("m", "dim", "bits"),
@@ -476,6 +498,8 @@ class TestApplySwitch:
             apply_switch(cyclic_orders(2), basis, ControlAmplitudes.uniform(2), np.eye(3) / 3)
         with pytest.raises(DimensionMismatchError):
             apply_switch(cyclic_orders(2), basis, ControlAmplitudes.uniform(3), np.eye(2) / 2)
+        with pytest.raises(DimensionMismatchError, match="expected \\(4, 4\\)"):
+            SwitchOutput(m_orders=2, dim=2, state=np.eye(3) / 3)
 
 
 def kraus_sum_output(orders, basis, amplitudes, rho):
