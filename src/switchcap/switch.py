@@ -17,10 +17,11 @@ amplitude scaling, and takes every output block and sampled rate from S.
 Each channel's index appears once in K_t and once in conj(K_t), so S is
 built channel by channel, one contraction per relative permutation of the
 order pairs, and the d^(2N) tuples are never enumerated for it; the Kraus
-family is built only for the completeness check.  Block (i, j) of S depends
-only on the relative permutation of orders i and j, so S is held as its
-distinct blocks and an index of which pair uses which.  Everything is summed
-in a fixed deterministic sequence, so results are bit-stable.
+family is built only for the completeness check, where ``verify`` builds
+one order's family.  Block (i, j) of S depends only on the relative
+permutation of orders i and j, so S is held as its distinct blocks and an
+index of which pair uses which.  Everything is summed in a fixed
+deterministic sequence, so results are bit-stable.
 
 The module keeps the last switch map it built, read-only, with the
 ``OrderSet`` and ``UnitaryBasis`` objects it was built for.  A call with
@@ -200,7 +201,9 @@ def check_size_guard(
     * The completeness check's Kraus family: d^(2N) order products of M d^2
       complex entries, stored order-major so the check copies no block,
       and the product chain of d^(2N) d^2 entries that fills them,
-      16 d^(2N) d^2 (M + 1) bytes, plus K.
+      16 d^(2N) d^2 (M + 1) bytes, plus K.  ``verify`` builds the first
+      order's family alone, one slab and the chain, so for it this term
+      counts (M + 1)/2 times the products it holds.
     * The switch map's contraction: its chain state, a factor and their
       product, 48 P d^(N+3) bytes; the kept map is emptied first.
     * The oracle, for n = max(n_samples, d) pure inputs, holds K and 2^14

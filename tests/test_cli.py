@@ -676,6 +676,36 @@ class TestVerify:
         assert row["max_block_residual"] > BLOCK_TOL
         assert row["kraus_residual"] < 1e-12
 
+    def test_completeness_builds_the_first_orders_family(self, monkeypatch):
+        # every order's block of the completeness sum is the first order's
+        # with its tuples relabeled, so a case builds one order's slab, not M
+        build, calls = switch_module.build_switch_kraus, []
+
+        def recorded(orders, basis):
+            calls.append((orders, basis))
+            return build(orders, basis)
+
+        monkeypatch.setattr("switchcap.cli.build_switch_kraus", recorded)
+        orders, basis = OrderSet(orders=((1, 2, 0), (0, 2, 1), (2, 1, 0))), weyl_basis(3)
+        assert run_verify_case(orders, "explicit", basis, 42)["kraus_residual"] < 1e-12
+        assert len(calls) == 1
+        assert calls[0][0] == OrderSet(orders=orders.orders[:1])
+        assert calls[0][1] is basis
+
+    def test_wide_case_holds_two_family_slabs(self):
+        # N=2, d=10: one order's slab is 16 d^(2N) d^2 = 16 MB, and the
+        # first order's family holds it beside its product chain, where all
+        # M = 2 orders' family held three slabs
+        run_verify_case(cyclic_orders(2), "cyclic", weyl_basis(2), 42)
+        orders, basis = cyclic_orders(2), weyl_basis(10)
+        tracemalloc.start()
+        try:
+            run_verify_case(orders, "cyclic", basis, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16 * 10**4 * 10**2
+
     def test_four_channel_qutrits_over_all_orders(self, capsys):
         # the 24 orders at d = 3 fit the byte budget
         assert main(["verify", "--channels", "4", "--dim", "3", "--mode", "all"]) == 0

@@ -261,6 +261,45 @@ class TestBuildSwitchKraus:
         assert kraus.shape == (64, 3, 2, 2)
         assert check_completeness(kraus) < 1e-12
 
+    @pytest.mark.parametrize(
+        ("orders", "d", "scale"),
+        [
+            *[(cyclic_orders(n), d, 1.0) for n in range(2, 6) for d in (2, 3)],
+            (all_orders(3), 2, 1.0),
+            (all_orders(3), 3, 1.0),
+            (all_orders(4), 2, 1.0),
+            (OrderSet(orders=((1, 2, 0), (0, 2, 1), (2, 1, 0))), 3, 1.0),
+            # one operator scaled by 1.001: residual 1.5015e-3 on every order
+            (cyclic_orders(3), 2, 1.001),
+            (all_orders(3), 2, 1.001),
+        ],
+        ids=[
+            *[f"cyclic{n}-d{d}" for n in range(2, 6) for d in (2, 3)],
+            "all3-d2",
+            "all3-d3",
+            "all4-d2",
+            "explicit3-d3",
+            "cyclic3-scaled",
+            "all3-scaled",
+        ],
+    )
+    def test_first_order_family_has_every_orders_sum(self, orders, d, scale):
+        # t -> t o sigma_l is a bijection of the tuples, so every order's
+        # block of sum_t K_t^dagger K_t is the first order's sum relabeled,
+        # for any operators: verify's one-order family loses nothing
+        ops = weyl_basis(d).ops.copy()
+        ops[1] *= scale
+        basis = UnitaryBasis(dim=d, ops=ops)
+        kraus = build_switch_kraus(orders, basis)
+        first = build_switch_kraus(OrderSet(orders=orders.orders[:1]), basis)
+        expected = gram(first[:, 0].reshape(-1, d))
+        for l in range(orders.m_orders):
+            assert np.abs(gram(kraus[:, l].reshape(-1, d)) - expected).max() <= 1e-15
+        residual = check_completeness(first)
+        assert abs(check_completeness(kraus) - residual) <= 1e-15
+        # sum_u U_u^dagger U_u / d^2 is (1 + (scale^2 - 1)/d^2) I, once per channel
+        assert abs(residual - ((1 + (scale**2 - 1) / d**2) ** orders.n_channels - 1)) < 1e-12
+
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             check_size_guard(5, 120, 3)
