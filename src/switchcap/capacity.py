@@ -23,6 +23,7 @@ and S(control): ``s_min`` and ``control_entropy`` return its fields.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,9 @@ class CapacityReport(NamedTuple):
 
     A named tuple, so it is immutable and costs a fraction of a frozen
     dataclass to build; the closed-form grid builds one per point.
+    ``holevo`` builds it with ``tuple.__new__`` on the class, which gives the
+    same object as ``CapacityReport(...)`` without the Python frame of the
+    generated ``__new__`` on every grid point.
     """
 
     m_orders: int
@@ -56,7 +60,20 @@ class CapacityReport(NamedTuple):
     chi: float
 
 
+_new_tuple = tuple.__new__
+
+
 def _check_point(m_orders: int, dim: int) -> None:
+    """Raise DomainError unless M and d are integers with M >= 1 and d in DIM_RANGE.
+
+    Integers are whatever ``operator.index`` accepts, NumPy integers
+    included; a float such as 2.0 is refused, not rounded.
+    """
+    for name, value in (("number of orders", m_orders), ("dimension", dim)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value}") from None
     if m_orders < 1:
         raise DomainError(f"number of orders must be >= 1, got {m_orders}")
     lo, hi = DIM_RANGE
@@ -103,25 +120,36 @@ def holevo(m_orders: int, dim: int) -> CapacityReport:
     This is the one place the closed forms of S_min and S(control) are
     written; ``s_min`` and ``control_entropy`` read them from the report.
     A single order (M=1) transmits nothing: chi is exactly 0.
+
+    M and d must be integers (see ``_check_point``).  A plain ``int`` point
+    inside the range passes one inline test; anything else, NumPy integers
+    included, goes through ``_check_point``, which raises every DomainError.
     """
-    _check_point(m_orders, dim)
+    if not (
+        type(m_orders) is int
+        and type(dim) is int
+        and m_orders >= 1
+        and DIM_RANGE[0] <= dim <= DIM_RANGE[1]
+    ):
+        _check_point(m_orders, dim)
+    log2 = math.log2
     m, d = m_orders, dim
     if m == 1:
-        smin, scontrol = math.log2(d), 0.0
+        smin, scontrol = log2(d), 0.0
     else:
         md2 = m * d * d
         top = (d + m - 1) / md2
         low = (d - 1) / md2
         smin = -(
-            top * math.log2(top)
-            + (m - 1) * (d - 1) / md2 * math.log2(low)
-            + (d - 1) / d * math.log2(1.0 / (m * d))
+            top * log2(top)
+            + (m - 1) * (d - 1) / md2 * log2(low)
+            + (d - 1) / d * log2(1.0 / (m * d))
         )
         top = (m - 1 + d * d) / md2
         rest = (d * d - 1) / md2
-        scontrol = -(top * math.log2(top) + (m - 1) * rest * math.log2(rest))
-    chi = math.log2(dim) + scontrol - smin
-    return CapacityReport(m_orders, dim, smin, scontrol, chi)
+        scontrol = -(top * log2(top) + (m - 1) * rest * log2(rest))
+    chi = log2(dim) + scontrol - smin
+    return _new_tuple(CapacityReport, (m_orders, dim, smin, scontrol, chi))
 
 
 def asymptotic_limit(dim: int) -> float:

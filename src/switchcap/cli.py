@@ -162,9 +162,15 @@ def cmd_grid(args: argparse.Namespace) -> int:
     dims = parse_int_list(args.dims)
     orders = parse_int_list(args.orders)
     _validate_grid(dims, orders)
-    # Distinct points, sorted by dimension and then by order count.
-    points = itertools.product(sorted(set(dims)), sorted(set(orders)))
-    lines = _grid_lines(args.format, (holevo(m, d) for d, m in points), args.seed)
+    # Distinct points, sorted by dimension and then by order count: one holevo
+    # call per point, mapped over each dimension's orders in C.  holevo is read
+    # from this module's globals as each dimension starts, so a wrapper bound
+    # to cli.holevo sees every call.
+    dims, orders = sorted(set(dims)), sorted(set(orders))
+    reports = itertools.chain.from_iterable(
+        map(holevo, orders, itertools.repeat(d, len(orders))) for d in dims
+    )
+    lines = _grid_lines(args.format, reports, args.seed)
     out = args.out
     target = contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8")
     with target as handle:

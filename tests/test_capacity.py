@@ -1,12 +1,15 @@
 """Tests for the closed-form capacity expressions."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from switchcap.capacity import (
     DIM_RANGE,
+    CapacityReport,
+    _check_point,
     _log_det_psd,
     analytic_output_state,
     asymptotic_limit,
@@ -79,6 +82,28 @@ def det_row_reduction(m):
         for row in range(col + 1, n):
             a[row, col:] -= a[row, col] / a[col, col] * a[col, col:]
     return det
+
+
+def _reference_holevo(m_orders, dim):
+    """holevo as written before its report skipped the generated __new__."""
+    _check_point(m_orders, dim)
+    m, d = m_orders, dim
+    if m == 1:
+        smin, scontrol = math.log2(d), 0.0
+    else:
+        md2 = m * d * d
+        top = (d + m - 1) / md2
+        low = (d - 1) / md2
+        smin = -(
+            top * math.log2(top)
+            + (m - 1) * (d - 1) / md2 * math.log2(low)
+            + (d - 1) / d * math.log2(1.0 / (m * d))
+        )
+        top = (m - 1 + d * d) / md2
+        rest = (d * d - 1) / md2
+        scontrol = -(top * math.log2(top) + (m - 1) * rest * math.log2(rest))
+    chi = math.log2(dim) + scontrol - smin
+    return CapacityReport(m_orders, dim, smin, scontrol, chi)
 
 
 def random_mixed_spectrum(dim, rng):
@@ -192,6 +217,60 @@ class TestHolevo:
         with pytest.raises(AttributeError):
             setattr(holevo(2, 2), field, 0)
 
+    @staticmethod
+    def _assert_matches_reference(points):
+        for m, d in points:
+            report = holevo(m, d)
+            assert type(report) is CapacityReport
+            assert report == _reference_holevo(m, d)
+
+    def test_bits_match_reference_at_wide_dims_and_large_orders(self):
+        orders = (1, 2, 3, 7, 255, 256, 257, 1000, 20000, 999999, 10**6)
+        self._assert_matches_reference((m, d) for d in range(2, 65) for m in orders)
+
+    def test_bits_match_reference_on_the_ci_grid(self):
+        self._assert_matches_reference((m, d) for d in range(2, 17) for m in range(1, 2001))
+
+    def test_report_behaves_as_its_named_tuple(self):
+        # _fields is pinned by test_report_fields_in_order
+        report = holevo(24, 3)
+        assert list(report._asdict().items()) == [
+            ("m_orders", 24),
+            ("dim", 3),
+            ("s_min", report[2]),
+            ("s_control", report[3]),
+            ("chi", report[4]),
+        ]
+        zeroed = report._replace(chi=0.0)
+        assert type(zeroed) is CapacityReport
+        assert zeroed == (24, 3, report.s_min, report.s_control, 0.0)
+        restored = pickle.loads(pickle.dumps(report))
+        assert type(restored) is CapacityReport
+        assert restored == report
+
+    def test_numpy_integers_are_accepted(self):
+        assert holevo(np.int64(3), 2) == holevo(3, 2)
+        assert holevo(3, np.int32(2)) == holevo(3, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            holevo,
+            s_min,
+            control_entropy,
+            lambda m, d: output_spectrum(m, d, np.full(2, 0.5)),
+        ],
+        ids=["holevo", "s_min", "control_entropy", "output_spectrum"],
+    )
+    def test_non_integral_points_are_refused(self, call):
+        # 2.5 orders used to give chi = 0.0667 bits, and a 2.0 dimension a report with dim 2.0
+        with pytest.raises(DomainError, match="^number of orders must be an integer, got 2.5$"):
+            call(2.5, 2)
+        with pytest.raises(DomainError, match="^dimension must be an integer, got 2.0$"):
+            call(2, 2.0)
+        with pytest.raises(DomainError, match="^number of orders must be an integer, got 3.0$"):
+            call(np.float64(3.0), 2)
+
     @pytest.mark.parametrize("d", [2, 3, 6, 64])
     def test_single_order_chi_exactly_zero(self, d):
         report = holevo(1, d)
@@ -277,6 +356,11 @@ class TestAsymptoticLimit:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             asymptotic_limit(1)
+
+    def test_non_integral_dimension_is_refused(self):
+        with pytest.raises(DomainError, match="^dimension must be an integer, got 2.5$"):
+            asymptotic_limit(2.5)
+        assert asymptotic_limit(np.int64(3)) == asymptotic_limit(3)
 
     @pytest.mark.parametrize("dim", [65, 10**7, 10**400], ids=["65", "1e7", "1e400"])
     def test_rejects_dimension_past_the_range(self, dim):

@@ -216,6 +216,23 @@ class TestSweep:
         assert main(["sweep", "--dims", "2,3", "--orders", "2,3,6", "--out", str(clean)]) == 0
         assert messy.read_bytes() == clean.read_bytes()
 
+    @pytest.mark.parametrize("command", ["sweep", "table"])
+    def test_one_holevo_call_per_distinct_point(self, capsys, monkeypatch, command):
+        # the benchmark's tracer counts cli.holevo calls and spans, one per point
+        argv = [command, "--dims", "3,2,3", "--orders", "5,1..3,5"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        calls = []
+
+        def recorded(m, d):
+            calls.append((m, d))
+            return holevo(m, d)
+
+        monkeypatch.setattr("switchcap.cli.holevo", recorded)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert calls == [(m, d) for d in (2, 3) for m in (1, 2, 3, 5)]
+
     @staticmethod
     def _table_matches_sweep(tmp_path, capsys, fmt):
         grid = ["--dims", "2..4", "--orders", "1,5..7", "--format", fmt]
