@@ -29,9 +29,9 @@ class UnitaryBasis:
 
     ``ops`` has shape (d^2, d, d).  Orthogonality means
     Tr(U_i^dagger U_j) = d * delta_ij.  Equality and hashing are by
-    identity, as an array has no single truth value, and the switch keys
-    its kept map on this object.  The basis holds its own read-only copy of
-    ``ops``, so no alias of the caller's array can change it.
+    identity, as an array has no single truth value.  The basis holds its
+    own read-only copy of ``ops``, so no alias of the caller's array can
+    change it.
     """
 
     dim: int

@@ -51,6 +51,8 @@ from .switch import (
     ControlAmplitudes,
     NormalSource,
     OrderSet,
+    SwitchMap,
+    _switch_map,
     all_orders,
     apply_switch,
     build_switch_kraus,
@@ -180,11 +182,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _block_residual(
-    orders: OrderSet, basis: UnitaryBasis, amplitudes: ControlAmplitudes, rho: np.ndarray
+    orders: OrderSet,
+    basis: UnitaryBasis,
+    amplitudes: ControlAmplitudes,
+    rho: np.ndarray,
+    *,
+    switch_map: SwitchMap,
 ) -> np.ndarray:
     """(M, M) largest entry deviation of each output block from the closed form."""
     m, dim = orders.m_orders, basis.dim
-    produced = apply_switch(orders, basis, amplitudes, rho)
+    produced = apply_switch(orders, basis, amplitudes, rho, switch_map=switch_map)
     predicted = analytic_output_state(rho, m, amplitudes)
     return np.abs(produced.state - predicted).reshape(m, dim, m, dim).max(axis=(1, 3))
 
@@ -201,7 +208,9 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     products: every order's control block of the completeness sum is the
     same operator sum with its tuples relabeled, for any basis.  Other pairs,
     for which the closed form is not claimed, only make the status
-    ``divergent-block`` if they miss it.
+    ``divergent-block`` if they miss it.  The block checks and the oracle
+    share one switch map, built after the inputs are drawn and dropped
+    before the Kraus family is built.
     The sampled rate is enforced against the closed-form rate within CHI_TOL
     only when all order pairs are cyclically related.  Returns the report row.
     """
@@ -215,15 +224,18 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     pure[0, 0] = 1.0
     inputs = [pure, random_density_matrix(dim, rng), np.eye(dim, dtype=complex) / dim]
 
+    switch_map = _switch_map(orders, basis)
     # Each input's output states are released before the next stage.
     residual = np.zeros((m, m))
     for rho in inputs:
-        residual = np.maximum(residual, _block_residual(orders, basis, amplitudes, rho))
-    # After the byte guard in apply_switch, which refuses any N past 14.
+        block = _block_residual(orders, basis, amplitudes, rho, switch_map=switch_map)
+        residual = np.maximum(residual, block)
+    # After the byte guard in _switch_map, which refuses any N past 14.
     related = cyclic_pairs(orders)
     max_block_residual = float(residual[related].max())
 
-    chi_oracle = holevo_oracle(orders, basis, seed=seed)
+    chi_oracle = holevo_oracle(orders, basis, seed=seed, switch_map=switch_map)
+    del switch_map
     # Order l's block of sum_t K_t^dagger K_t is the first order's sum with its
     # tuples relabeled (t -> t o sigma_l is a bijection), so one order's family covers all.
     first = OrderSet(orders=orders.orders[:1])

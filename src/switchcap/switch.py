@@ -23,11 +23,11 @@ permutation of orders i and j, so S is held as its distinct blocks and an
 index of which pair uses which.  Everything is summed in a fixed
 deterministic sequence, so results are bit-stable.
 
-The module keeps the last switch map it built, read-only, with the
-``OrderSet`` and ``UnitaryBasis`` objects it was built for.  A call with
-those same two objects (compared with ``is``) takes the kept map, so the
-block checks and the oracle of one ``verify`` case share one build.  Any
-other map build empties the slot first, so at most one map is held.
+The module holds no state between calls.  ``apply_switch`` and
+``holevo_oracle`` build the switch map they need, or take as
+``switch_map=`` the map that ``_switch_map`` built for the same order set
+and basis.  So the block checks and the oracle of one ``verify`` case
+share one build, which the case drops when they are done.
 """
 
 from __future__ import annotations
@@ -194,18 +194,19 @@ def check_size_guard(
     """Reject brute-force requests whose arrays exceed the byte budget.
 
     The count is the largest of these stages, an exact integer returned when
-    it fits.  K = 16 P d^4 + 8 (M d)^2 bytes is the kept switch map: P
-    complex d^2 x d^2 blocks, P <= min(M (M - 1) + 1, N!), and an (M d)^2
-    integer index.
+    it fits.  K = 16 P d^4 + 8 (M d)^2 bytes is the switch map that a case
+    holds: P complex d^2 x d^2 blocks, P <= min(M (M - 1) + 1, N!), and an
+    (M d)^2 integer index.
 
     * The completeness check's Kraus family: d^(2N) order products of M d^2
       complex entries, stored order-major so the check copies no block,
       and the product chain of d^(2N) d^2 entries that fills them,
       16 d^(2N) d^2 (M + 1) bytes, plus K.  ``verify`` builds the first
-      order's family alone, one slab and the chain, so for it this term
-      counts (M + 1)/2 times the products it holds.
+      order's family alone, one slab and the chain, after it has dropped
+      its map, so for it this term counts (M + 1)/2 times the products it
+      holds and a K it no longer holds.
     * The switch map's contraction: its chain state, a factor and their
-      product, 48 P d^(N+3) bytes; the kept map is emptied first.
+      product, 48 P d^(N+3) bytes.
     * The oracle, for n = max(n_samples, d) pure inputs, holds K and 2^14
       bytes of generator state and array headers, and in turn: its normal
       draws, 8 bytes each in the array ``NormalSource`` fills, beside up to
@@ -235,11 +236,11 @@ def check_size_guard(
             f"products (budget {BYTE_BUDGET:.2e})"
         )
     p = min(m * (m - 1) + 1, math.factorial(n_channels))
-    kept = 16 * p * dim**4 + 8 * (m * dim) ** 2
-    oracle = kept + 2**14
+    held = 16 * p * dim**4 + 8 * (m * dim) ** 2
+    oracle = held + 2**14
     inputs, spectra = 16 * (n + 1) * dim**2, 8 * (n + 1) * m * dim
     size = max(
-        16 * dim ** (2 * n_channels) * dim**2 * (m + 1) + kept,
+        16 * dim ** (2 * n_channels) * dim**2 * (m + 1) + held,
         48 * p * dim ** (n_channels + 3),
         oracle + max(64 * dim * n, inputs + 32 * dim * n),
         oracle + inputs + spectra + 56 * (m * dim) ** 2,
@@ -290,10 +291,6 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     return slabs.reshape(m, -1, d, d).transpose(1, 0, 2, 3)
 
 
-# The last switch map built, as (orders, basis, map), or None: see _switch_map.
-_kept_map: tuple[OrderSet, UnitaryBasis, SwitchMap] | None = None
-
-
 def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> SwitchMap:
     """Superoperator of the switch before amplitude scaling, as (blocks, index).
 
@@ -317,17 +314,10 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> SwitchMap:
     contracted once: a state over (pi, y_0..y_N, x_0, x_p) takes factor p
     in one batched d x d product, and the inner y are summed at the end.
 
-    The two arrays are kept, read-only, for the next call with the same two
-    objects (compared with ``is``), which returns them without a build.  Any
-    other call empties the slot before it builds, so two maps are never held
-    at once; no other code writes the slot.  The slot is read once, so a
-    concurrent writer cannot pair one map's key with another's value.
+    Each call runs the byte guard and builds anew; the two arrays are
+    returned read-only, so callers may share them, and nothing else holds
+    them.
     """
-    global _kept_map
-    kept = _kept_map
-    if kept is not None and kept[0] is orders and kept[1] is basis:
-        return kept[2]
-    _kept_map = None
     n, m, d = orders.n_channels, orders.m_orders, basis.dim
     check_size_guard(n, m, d)
     perms, which = _relative_orders(orders)
@@ -337,9 +327,7 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> SwitchMap:
     index = (which[:, None, :, None] * d + np.arange(d)[:, None, None]) * d + np.arange(d)
     blocks.setflags(write=False)
     index.setflags(write=False)
-    switch_map = (blocks, index)
-    _kept_map = (orders, basis, switch_map)
-    return switch_map
+    return blocks, index
 
 
 def _relative_orders(orders: OrderSet) -> tuple[np.ndarray, np.ndarray]:
@@ -405,12 +393,16 @@ def apply_switch(
     basis: UnitaryBasis,
     amplitudes: ControlAmplitudes,
     rho: np.ndarray,
+    *,
+    switch_map: SwitchMap | None = None,
 ) -> SwitchOutput:
     """Exact Kraus-sum output of the switch on (sum_i c_i |i>) control.
 
     The input target state ``rho`` must match the basis dimension.  The
     result satisfies the density-matrix invariants by construction and is
-    validated before being returned.
+    validated before being returned.  ``switch_map`` is
+    ``_switch_map(orders, basis)``, built here when not given; a map of
+    another M or d raises ValueError.
     """
     rho = np.asarray(rho, dtype=complex)
     d = basis.dim
@@ -422,8 +414,10 @@ def apply_switch(
         raise DimensionMismatchError(
             f"{len(amplitudes)} amplitudes for {orders.m_orders} orders"
         )
+    if switch_map is None:
+        switch_map = _switch_map(orders, basis)
     c = amplitudes.as_array()
-    state = _output_state(_switch_map(orders, basis), np.outer(c, c)[:, None, :, None], rho)
+    state = _output_state(switch_map, np.outer(c, c)[:, None, :, None], rho)
     return SwitchOutput(m_orders=orders.m_orders, dim=d, state=state)
 
 
@@ -476,6 +470,8 @@ def holevo_oracle(
     basis: UnitaryBasis,
     n_samples: int = ORACLE_SAMPLES,
     seed: int = 42,
+    *,
+    switch_map: SwitchMap | None = None,
 ) -> float:
     """Sampled lower bound on the switch Holevo quantity, in bits.
 
@@ -489,7 +485,8 @@ def holevo_oracle(
     with another basis, adding samples can only lower the reported minimum.
     A negative seed or a sample count outside [1, MAX_ORACLE_SAMPLES] raises
     DomainError, and a count that ``check_size_guard`` refuses SizeGuardError,
-    before any state is drawn.  The output states are taken one at a time,
+    before any state is drawn or any map taken.  ``switch_map`` is as for
+    ``apply_switch``.  The output states are taken one at a time,
     each spectrum written into its row of one (n_samples + 1, M*d) array,
     mixed input first, and every entropy comes from one
     ``von_neumann_entropy`` call on that stack.
@@ -499,7 +496,8 @@ def holevo_oracle(
     if not 1 <= n_samples <= MAX_ORACLE_SAMPLES:
         raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
     check_size_guard(orders.n_channels, orders.m_orders, d, n_samples)
-    switch_map = _switch_map(orders, basis)
+    if switch_map is None:
+        switch_map = _switch_map(orders, basis)
     c = ControlAmplitudes.uniform(orders.m_orders).as_array()
     weights = np.outer(c, c)[:, None, :, None]
 

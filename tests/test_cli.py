@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import gc
 import itertools
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -639,8 +641,8 @@ class TestVerify:
         assert peak <= 1.1 * check_size_guard(5, 120, 2)
 
     def test_memory_of_two_cases_is_the_larger_guard(self, capsys):
-        # the first case's kept map is held beside its own Kraus family, which
-        # the guard counts, and is emptied when the second case builds its map
+        # each case drops its switch map before it builds its Kraus family,
+        # and returns nothing that holds either, so no case's arrays outlive it
         assert main(["verify"]) == 0
         tracemalloc.start()
         try:
@@ -672,12 +674,28 @@ class TestVerify:
         assert len(json.loads(capsys.readouterr().out)["rows"]) == cases
         assert len(calls) == cases
 
+    def test_case_releases_its_switch_map(self, monkeypatch):
+        # nothing holds a case's map once its row is returned
+        build, refs = switch_module._switch_map, []
+
+        def recorded(orders, basis):
+            switch_map = build(orders, basis)
+            refs.append(weakref.ref(switch_map[0]))
+            return switch_map
+
+        monkeypatch.setattr("switchcap.cli._switch_map", recorded)
+        assert run_verify_case(cyclic_orders(3), "cyclic", weyl_basis(2), 42)["status"] == "pass"
+        gc.collect()
+        assert len(refs) == 1
+        assert refs[0]() is None
+
     def test_changed_basis_gets_its_own_map(self):
-        # After a Weyl case on the same order set object, a changed basis is
-        # a new key.  One operator scaled by 1.001 gives outputs of trace
-        # 1.001, which the state check refuses; the kept Weyl map would have
-        # given trace 1.  A unitary but non-orthogonal operator keeps the
-        # Kraus sum complete, so only its own map's blocks can make it fail.
+        # After a Weyl case on the same order set object, a changed basis
+        # gets its own map.  One operator scaled by 1.001 gives outputs of
+        # trace 1.001, which the state check refuses; a Weyl map left from
+        # the case before would have given trace 1.  A unitary but
+        # non-orthogonal operator keeps the Kraus sum complete, so only its
+        # own map's blocks can make it fail.
         orders, weyl = cyclic_orders(2), weyl_basis(2)
         assert run_verify_case(orders, "cyclic", weyl, 42)["status"] == "pass"
         scaled = weyl.ops.copy()
@@ -760,6 +778,7 @@ class TestVerify:
         for name in ("cyclic_orders", "all_orders", "cyclic_pairs"):
             monkeypatch.setattr(f"switchcap.cli.{name}", never)
         monkeypatch.setattr("switchcap.switch._switch_map", never)
+        monkeypatch.setattr("switchcap.cli._switch_map", never)
         started = time.perf_counter()
         assert main(["verify", *argv]) == 4
         assert time.perf_counter() - started < 1.0

@@ -328,7 +328,7 @@ class TestBuildSwitchKraus:
     def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
         # The largest of the order products with their product chain, the
         # contraction's three arrays and the oracle's stages at 64 samples,
-        # the first and last beside the kept map's K = 16 P d^4 + 8 (M d)^2
+        # the first and last beside the switch map's K = 16 P d^4 + 8 (M d)^2
         # bytes: max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), O + K) bytes,
         # P = min(M (M - 1) + 1, N!).  Every case here is bound by the products.
         orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
@@ -423,15 +423,16 @@ class TestBuildSwitchKraus:
     def test_size_guard_predicts_the_peak(self, orders, d):
         # the guard's count is the largest tracemalloc peak of the switch map,
         # of the Kraus completeness check and of verify's block check beside
-        # the kept map, within 10 %; the family's term is larger than the
+        # a held map, within 10 %; the family's term is larger than the
         # block check's, so the guard need not count the block check
         basis = weyl_basis(d)
         amplitudes = ControlAmplitudes.uniform(orders.m_orders)
         rho = np.eye(d, dtype=complex) / d
+        held = _switch_map(orders, basis)
         runs = [
             lambda: apply_switch(orders, basis, amplitudes, rho),
             lambda: check_completeness(build_switch_kraus(orders, basis)),
-            lambda: _block_residual(orders, basis, amplitudes, rho),
+            lambda: _block_residual(orders, basis, amplitudes, rho, switch_map=held),
         ]
         peaks = []
         for run in runs:
@@ -441,8 +442,8 @@ class TestBuildSwitchKraus:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the first run built the map that the block check takes as kept
-        peaks[2] += sum(array.nbytes for array in _switch_map(orders, basis))
+        # the block check takes a map built before tracing started
+        peaks[2] += sum(array.nbytes for array in held)
         guard = check_size_guard(orders.n_channels, orders.m_orders, d)
         assert 0.9 * guard <= max(peaks) <= 1.1 * guard
 
@@ -674,42 +675,59 @@ class TestSwitchMapAgainstTupleGram:
         assert peak < family / 4
 
 
-class TestKeptMap:
-    def test_same_objects_share_one_read_only_map(self):
-        orders, basis = cyclic_orders(3), weyl_basis(2)
-        first = _switch_map(orders, basis)
-        assert _switch_map(orders, basis) is first
-        blocks, index = first
+class TestSwitchMap:
+    def test_map_is_read_only(self):
+        blocks, index = built = _switch_map(cyclic_orders(3), weyl_basis(2))
         # three cyclic orders give three relative permutations
         assert blocks.shape == (3, 4, 4)
         assert index.shape == (3, 2, 3, 2)
-        for array in first:
+        for array in built:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0
 
-    def test_equal_objects_are_not_the_same_key(self):
-        # an equal order set, or a basis with the same operators, builds anew
+    def test_two_builds_are_bit_identical(self):
+        # the same objects, or equal ones, build a new map with the same bits
         orders, basis = cyclic_orders(3), weyl_basis(2)
         first = _switch_map(orders, basis)
-        for key in [(cyclic_orders(3), basis), (orders, weyl_basis(2))]:
+        for key in [(orders, basis), (cyclic_orders(3), weyl_basis(2))]:
             again = _switch_map(*key)
-            assert again is not first
-            assert all(np.array_equal(a, b) for a, b in zip(again, first))
+            assert all(a is not b and np.array_equal(a, b) for a, b in zip(again, first))
 
-    def test_kraus_family_keeps_the_map(self, monkeypatch):
-        # the map outlives a family build, so the same case contracts once
-        orders, basis = cyclic_orders(3), weyl_basis(2)
-        kept = _switch_map(orders, basis)
-        build_switch_kraus(orders, basis)
-        assert switch._kept_map[2] is kept
+    def test_given_map_is_not_contracted_again(self, monkeypatch):
+        # a map passed as switch_map is used as given, with the same result
+        orders, basis = all_orders(3), weyl_basis(2)
+        c, rho = ControlAmplitudes.uniform(6), random_density_matrix(2, np.random.default_rng(3))
+        state = apply_switch(orders, basis, c, rho).state
+        chi = holevo_oracle(orders, basis)
+        built = _switch_map(orders, basis)
 
         def never(*args):
             raise AssertionError("the switch map was contracted again")
 
         monkeypatch.setattr(switch, "_contract", never)
-        apply_switch(orders, basis, ControlAmplitudes.uniform(3), np.eye(2) / 2)
-        assert holevo_oracle(orders, basis) == pytest.approx(0.0817, abs=1e-4)
+        assert np.array_equal(apply_switch(orders, basis, c, rho, switch_map=built).state, state)
+        assert holevo_oracle(orders, basis, switch_map=built) == chi
+
+    @pytest.mark.parametrize(
+        ("other", "d"),
+        [
+            (OrderSet(orders=((0, 1, 2),)), 2),
+            (cyclic_orders(2), 2),
+            (all_orders(3), 2),
+            (cyclic_orders(3), 3),
+        ],
+        ids=["one-order", "two-orders", "six-orders", "other-dim"],
+    )
+    def test_map_of_another_shape_raises(self, other, d):
+        # a map built for another M or d raises before any state is returned
+        orders, basis = cyclic_orders(3), weyl_basis(2)
+        built = _switch_map(other, weyl_basis(d))
+        c = ControlAmplitudes.uniform(3)
+        with pytest.raises(ValueError):
+            apply_switch(orders, basis, c, np.eye(2) / 2, switch_map=built)
+        with pytest.raises(ValueError):
+            holevo_oracle(orders, basis, switch_map=built)
 
     def test_alias_of_the_given_operators_cannot_stale_the_map(self):
         # a view of the caller's array, taken before the basis was built,
@@ -722,8 +740,8 @@ class TestKeptMap:
         apply_switch(orders, basis, c, rho)
         view[1] = view[1] @ np.diag([1, np.exp(0.5j)])
         assert np.array_equal(basis.ops, weyl.ops)
-        kept = apply_switch(orders, basis, c, rho).state
-        assert np.array_equal(kept, apply_switch(orders, weyl, c, rho).state)
+        again = apply_switch(orders, basis, c, rho).state
+        assert np.array_equal(again, apply_switch(orders, weyl, c, rho).state)
         assert ops.flags.writeable
 
 
@@ -836,16 +854,16 @@ class TestHolevoOracle:
         assert abs(holevo_oracle(orders, weyl_basis(d), seed=seed) - chi) <= 1e-14
 
     def test_memory_is_the_guard_oracle_term(self):
-        # the kept blocks and index, the 2^14 bytes the guard allows for small
+        # the map's blocks and index, the 2^14 bytes the guard allows for small
         # objects, the 65 inputs, the 65 stacked spectra, one output state and
         # what hermitian_spectrum holds beside it: 16 P d^4 + 8 (M d)^2 + 2^14
         # + 16 * 65 d^2 + 8 * 65 M d + 56 (M d)^2 bytes, within 5 %, over all
         # 120 orders, whose relative permutations are all P = 120.
-        # The warm-up takes another basis object, so the measured call still
-        # builds its own map rather than taking the kept one.
+        # The warm-up loads what numpy imports lazily; the measured call
+        # builds its own map.
         orders, d = all_orders(5), 2
         basis = weyl_basis(d)
-        holevo_oracle(orders, weyl_basis(d), n_samples=d)
+        holevo_oracle(orders, basis, n_samples=d)
         tracemalloc.start()
         try:
             holevo_oracle(orders, basis)
@@ -918,13 +936,13 @@ class TestHolevoOracle:
             holevo_oracle(cyclic_orders(2), weyl_basis(2), n_samples=MAX_ORACLE_SAMPLES + 1)
 
     def test_state_budget_boundary(self):
-        # N=2, d=13: beside the kept map and 2^14 bytes of small objects, the
+        # N=2, d=13: beside the switch map and 2^14 bytes of small objects, the
         # guard's oracle stage binds while the input stack, one 13 x 13
         # complex matrix per sample plus the mixed one, is filled from the
         # pure vectors and their conjugate.  At d=2 the sample cap binds
         # long before the budget.
-        kept = 16 * 2 * 13**4 + 8 * 26**2
-        largest = (BYTE_BUDGET - kept - 2**14 - 16 * 13**2) // (16 * 13**2 + 32 * 13)
+        held = 16 * 2 * 13**4 + 8 * 26**2
+        largest = (BYTE_BUDGET - held - 2**14 - 16 * 13**2) // (16 * 13**2 + 32 * 13)
         assert largest < MAX_ORACLE_SAMPLES
         check_size_guard(2, 2, 13, largest)
         with pytest.raises(SizeGuardError):
