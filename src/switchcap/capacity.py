@@ -18,19 +18,24 @@ plus (d^2 - 1) / (M d^2) with multiplicity M - 1.
 
 ``holevo`` owns the entropies of these two spectra, S_min at a pure input
 and S(control): ``s_min`` and ``control_entropy`` return its fields.
+
+NumPy is imported inside the four functions that build arrays, not at
+module level: ``holevo`` and ``asymptotic_limit`` need ``math`` alone, so
+a caller of the closed forms never pays numpy's import.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionOutOfRangeError, DomainError, InvalidSpectrumError, InvalidStateError
 from .linalg import hermitian_spectrum, validate_spectrum
 from .switch import ControlAmplitudes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Target dimensions every closed form accepts.  chi = log2(d) + S(control)
 # - S_min cancels terms of size log2(d) down to a rate that shrinks with d,
@@ -86,6 +91,7 @@ def output_spectrum(m_orders: int, dim: int, rho_spectrum: np.ndarray) -> np.nda
 
     Returns the M*d values sorted in descending order; they sum to 1.
     """
+    import numpy as np
     _check_point(m_orders, dim)
     p = np.asarray(rho_spectrum, dtype=float).ravel()
     if p.size != dim:
@@ -184,6 +190,7 @@ def analytic_output_state(
     Block (i, i) is c_i^2 * I/d and block (i, j) is c_i c_j * rho/d^2.
     Defaults to uniform amplitudes.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"expected a square state, got shape {rho.shape}")
@@ -200,6 +207,7 @@ def analytic_output_state(
 
 def _log_det_psd(matrix: np.ndarray) -> float:
     """log of the determinant of a positive definite Hermitian matrix."""
+    import numpy as np
     values = hermitian_spectrum(matrix)
     if float(values[-1]) <= 0.0:
         raise InvalidStateError(
@@ -223,6 +231,7 @@ def det_factorization_residual(
     once M*d grows past ~50.  The factorization holds for uniform amplitudes
     only, so any other amplitude vector is rejected.
     """
+    import numpy as np
     _check_point(m_orders, basis_dim)
     if m_orders * basis_dim > MAX_DETERMINANT_DIM:
         raise DimensionOutOfRangeError(

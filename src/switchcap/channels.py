@@ -4,6 +4,9 @@ The channel is realized by Kraus summation over the d^2 Heisenberg-Weyl
 (clock-and-shift) operators.  Any orthogonal unitary operator basis would do;
 the Weyl operators are deterministic and dimension-generic, which keeps
 cross-term behavior reproducible in regression tests.
+
+NumPy is imported inside each function that builds an array, not at
+module level, so importing the package for the closed forms loads none.
 """
 
 from __future__ import annotations
@@ -11,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import DimensionMismatchError, DimensionOutOfRangeError, DomainError
 from .linalg import gram
 
 if TYPE_CHECKING:
+    import numpy as np
     from numpy.typing import ArrayLike
 
 MIN_DIM = 2
@@ -38,6 +40,7 @@ class UnitaryBasis:
     ops: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         d = self.dim
         if self.ops.shape != (d * d, d, d):
             raise DimensionMismatchError(
@@ -54,6 +57,7 @@ def weyl_basis(dim: int) -> UnitaryBasis:
     phase ladder (Z|k> = w^k |k> with w = exp(2 pi i / d)).  The element at
     (a=0, b=0) is the identity.
     """
+    import numpy as np
     if not MIN_DIM <= dim <= MAX_DIM:
         raise DimensionOutOfRangeError(
             f"dimension {dim} outside supported range [{MIN_DIM}, {MAX_DIM}]"
@@ -76,6 +80,7 @@ def depolarize(basis: UnitaryBasis, rho: np.ndarray) -> np.ndarray:
     Tr(rho) * I / d for any input.  The sum is evaluated literally so the
     result can serve as a brute-force reference for the closed form.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     d = basis.dim
     if rho.shape != (d, d):
@@ -93,6 +98,7 @@ def check_completeness(kraus: ArrayLike) -> float:
     as a list of n x n matrices.  Returns max |sum_i K_ib^dagger K_ib - I|
     over entries and blocks b; below ~1e-12 certifies a valid channel.
     """
+    import numpy as np
     try:
         ops = np.asarray(kraus, dtype=complex)
     except ValueError as exc:

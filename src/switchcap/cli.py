@@ -20,6 +20,11 @@ integer in every subcommand that takes it, which seeds the stdlib Mersenne
 Twister (``random.Random``) behind ``switch.NormalSource``.  Output is
 byte-stable for identical flags and seed, except each ``verify`` row's
 ``wall_time_s``.
+
+NumPy is imported only inside the ``verify`` functions that build arrays,
+here and in the modules they call, so ``table``, ``sweep`` and ``limit``
+run without loading it: numpy's import is about half of a closed-form
+request's whole-process time.
 """
 
 from __future__ import annotations
@@ -33,8 +38,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .capacity import DIM_RANGE, CapacityReport, analytic_output_state, asymptotic_limit, holevo
@@ -63,6 +67,9 @@ from .switch import (
     order_count,
     random_density_matrix,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORDER_RANGE = (1, 10**6)
 # verify fails a case whose block or Kraus completeness residual reaches
@@ -190,6 +197,7 @@ def _block_residual(
     switch_map: SwitchMap,
 ) -> np.ndarray:
     """(M, M) largest entry deviation of each output block from the closed form."""
+    import numpy as np
     m, dim = orders.m_orders, basis.dim
     produced = apply_switch(orders, basis, amplitudes, rho, switch_map=switch_map)
     predicted = analytic_output_state(rho, m, amplitudes)
@@ -214,6 +222,7 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     The sampled rate is enforced against the closed-form rate within CHI_TOL
     only when all order pairs are cyclically related.  Returns the report row.
     """
+    import numpy as np
     started = time.perf_counter()
     m = orders.m_orders
     dim = basis.dim

@@ -7,12 +7,14 @@ descending order, computed by LAPACK through ``numpy.linalg.eigvalsh``, and
 the spectrum checks and the entropy also take a 2-D stack of them, one per
 row.
 Inputs with a NaN or infinite entry are rejected, never passed on.
-Everything here is a pure function: inputs are never mutated.
+Everything here is a pure function: inputs are never mutated.  NumPy is
+imported inside each function, not at module level, so a process that only
+evaluates the closed forms never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionMismatchError,
@@ -22,6 +24,9 @@ from .errors import (
     NoConvergenceError,
     NotHermitianError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tolerances for the density-matrix invariants.
 DENSITY_HERMITICITY_TOL = 1e-12
@@ -56,6 +61,7 @@ def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
         If LAPACK reports a failure, or the eigenvalue sum fails to
         reproduce the trace.
     """
+    import numpy as np
     a = np.array(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
@@ -96,6 +102,7 @@ def gram(x: np.ndarray) -> np.ndarray:
     one real BLAS product holds every sum.  Beyond ``x`` it holds that
     (2n, 2n) real product and the complex result, 48 n^2 bytes.
     """
+    import numpy as np
     x = np.ascontiguousarray(x, dtype=complex)
     n = x.shape[1]
     r = x.view(np.float64)
@@ -118,6 +125,7 @@ def validate_spectrum(values: np.ndarray) -> None:
     nonempty, every value finite and in ``[-1e-10, 1 + 1e-10]``, and each
     row's total weight 1 within ``1e-8``.  One bad row fails the stack.
     """
+    import numpy as np
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2):
         raise InvalidSpectrumError(
@@ -148,6 +156,7 @@ def von_neumann_entropy(spectrum: np.ndarray) -> float | np.ndarray:
     clamped to zero.  Beside the input it holds two (r, k) float arrays, the
     clamped values and their terms, and a transient (r, k) mask.
     """
+    import numpy as np
     values = np.asarray(spectrum, dtype=float)
     validate_spectrum(values)
     positive = np.clip(values.reshape(-1, values.shape[-1]), 0.0, None)
@@ -167,6 +176,7 @@ def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
     ``keep`` selects the surviving subsystem, ``"A"`` or ``"B"``.  The trace
     of the input is preserved exactly up to floating-point summation.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     dim = dim_a * dim_b
     if rho.shape != (dim, dim):
@@ -188,6 +198,7 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     Tolerances: hermiticity 1e-12 entrywise, trace 1e-12, smallest eigenvalue
     at least -1e-10.  An empty matrix, or a NaN or infinite entry, is rejected.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
         raise InvalidStateError(f"expected a nonempty square matrix, got shape {rho.shape}")

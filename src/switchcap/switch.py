@@ -27,7 +27,12 @@ The module holds no state between calls.  ``apply_switch`` and
 ``holevo_oracle`` build the switch map they need, or take as
 ``switch_map=`` the map that ``_switch_map`` built for the same order set
 and basis.  So the block checks and the oracle of one ``verify`` case
-share one build, which the case drops when they are done.
+share one build, which the case drops when they are done.  A map built for
+another order set or basis is refused.
+
+NumPy is imported inside each function that builds or reads an array, not
+at module level, so importing the package loads none; a repeat import of
+the loaded module inside a function costs a fraction of a microsecond.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .channels import UnitaryBasis
 from .errors import (
@@ -48,6 +52,9 @@ from .errors import (
     SizeGuardError,
 )
 from .linalg import gram, hermitian_spectrum, validate_density_matrix, von_neumann_entropy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest channel count for full permutation enumeration.
 MAX_FACTORIAL_CHANNELS = 5
@@ -63,7 +70,6 @@ ORACLE_SAMPLES = 64
 BYTE_BUDGET = 2**28
 
 Permutation = tuple[int, ...]
-SwitchMap = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,20 @@ class OrderSet:
         return len(self.orders)
 
 
+class SwitchMap(NamedTuple):
+    """The switch map that ``_switch_map`` built, with the order set and basis it is for.
+
+    ``blocks`` and ``index`` are read-only arrays; ``orders`` and ``basis``
+    are the key that ``apply_switch`` and ``holevo_oracle`` check a given
+    map against.  An equal order set matches, and a basis only itself.
+    """
+
+    blocks: np.ndarray
+    index: np.ndarray
+    orders: OrderSet
+    basis: UnitaryBasis
+
+
 @dataclass(frozen=True)
 class ControlAmplitudes:
     """Nonnegative control amplitudes c_i with sum of squares equal to 1."""
@@ -122,6 +142,7 @@ class ControlAmplitudes:
         return len(self.values)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.asarray(self.values, dtype=float)
 
 
@@ -276,6 +297,7 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     memory, and ``check_completeness`` reads each slab in place.  The
     result is the writable (d^(2N), M, d, d) transposed view of that array.
     """
+    import numpy as np
     n, m, d = orders.n_channels, orders.m_orders, basis.dim
     check_size_guard(n, m, d)
     chain = basis.ops
@@ -292,7 +314,7 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
 
 
 def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> SwitchMap:
-    """Superoperator of the switch before amplitude scaling, as (blocks, index).
+    """Superoperator of the switch before amplitude scaling, as a ``SwitchMap``.
 
     Row (i, a, j, c) and column (b, e) of S hold sum_t K_ti[a, b]
     conj(K_tj[c, e]) over the Kraus blocks K_ti, so S sends rho to the
@@ -316,8 +338,9 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> SwitchMap:
 
     Each call runs the byte guard and builds anew; the two arrays are
     returned read-only, so callers may share them, and nothing else holds
-    them.
+    them.  The map carries ``orders`` and ``basis`` as given.
     """
+    import numpy as np
     n, m, d = orders.n_channels, orders.m_orders, basis.dim
     check_size_guard(n, m, d)
     perms, which = _relative_orders(orders)
@@ -327,7 +350,19 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> SwitchMap:
     index = (which[:, None, :, None] * d + np.arange(d)[:, None, None]) * d + np.arange(d)
     blocks.setflags(write=False)
     index.setflags(write=False)
-    return blocks, index
+    return SwitchMap(blocks, index, orders, basis)
+
+
+def _map_for(orders: OrderSet, basis: UnitaryBasis, switch_map: SwitchMap | None) -> SwitchMap:
+    """``switch_map`` if it was built for ``orders`` and ``basis``, a new build if it is None.
+
+    A map built for another order set or basis raises DomainError.
+    """
+    if switch_map is None:
+        return _switch_map(orders, basis)
+    if (switch_map.orders, switch_map.basis) != (orders, basis):
+        raise DomainError("the switch map was built for another order set or basis")
+    return switch_map
 
 
 def _relative_orders(orders: OrderSet) -> tuple[np.ndarray, np.ndarray]:
@@ -340,6 +375,7 @@ def _relative_orders(orders: OrderSet) -> tuple[np.ndarray, np.ndarray]:
     admits (N <= 14); past N = 15 ``np.ravel_multi_index`` raises rather
     than wraps.
     """
+    import numpy as np
     sigma = np.array(orders.orders)
     m, n = sigma.shape
     inverse = np.argsort(sigma, axis=1)
@@ -356,6 +392,7 @@ def cyclic_pairs(orders: OrderSet) -> np.ndarray:
     ``_relative_orders``, i.e. when one order is a cyclic shift of the other.
     Like ``_relative_orders`` it takes N <= 14, every N the byte guard admits.
     """
+    import numpy as np
     perms, which = _relative_orders(orders)
     n = orders.n_channels
     return ((perms - perms[:, :1]) % n == np.arange(n)).all(axis=1)[which]
@@ -368,6 +405,7 @@ def _contract(twirl: np.ndarray, perms: np.ndarray) -> np.ndarray:
     y_0 = c and y_N = e.  The chain's state runs over (pi, y_0..y_N, x_0,
     x_p), so it holds P d^(N+3) entries, as do each factor and product.
     """
+    import numpy as np
     d, n = len(twirl), perms.shape[1]
     y = np.indices((d,) * (n + 1)).reshape(n + 1, -1)
     state = twirl[y[perms[:, 0]], y[perms[:, 0] + 1]]
@@ -381,9 +419,8 @@ def _output_state(switch_map: SwitchMap, weights: np.ndarray, rho: np.ndarray) -
 
     ``weights`` is the (M, 1, M, 1) array of amplitude products c_i c_j.
     """
-    blocks, index = switch_map
     m, d = len(weights), len(rho)
-    raw = (blocks @ rho.ravel()).take(index)
+    raw = (switch_map.blocks @ rho.ravel()).take(switch_map.index)
     raw *= weights
     return raw.reshape(m * d, m * d)
 
@@ -401,9 +438,10 @@ def apply_switch(
     The input target state ``rho`` must match the basis dimension.  The
     result satisfies the density-matrix invariants by construction and is
     validated before being returned.  ``switch_map`` is
-    ``_switch_map(orders, basis)``, built here when not given; a map of
-    another M or d raises ValueError.
+    ``_switch_map(orders, basis)``, built here when not given; a map built
+    for another order set or basis raises DomainError.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     d = basis.dim
     if rho.shape != (d, d):
@@ -414,8 +452,7 @@ def apply_switch(
         raise DimensionMismatchError(
             f"{len(amplitudes)} amplitudes for {orders.m_orders} orders"
         )
-    if switch_map is None:
-        switch_map = _switch_map(orders, basis)
+    switch_map = _map_for(orders, basis, switch_map)
     c = amplitudes.as_array()
     state = _output_state(switch_map, np.outer(c, c)[:, None, :, None], rho)
     return SwitchOutput(m_orders=orders.m_orders, dim=d, state=state)
@@ -426,12 +463,12 @@ class NormalSource:
 
     ``standard_normal(size)`` takes an int or a shape and fills a float64
     array of it, in C order, from ``random.Random(seed).gauss(0.0, 1.0)``.
-    The ``random`` module is loaded at interpreter start, so a seeded
-    request imports nothing, where the first use of ``numpy.random`` loads
-    ``secrets``, ``hashlib`` and a dozen extension modules.  The same seed
-    gives the same draws, and successive calls continue one stream.  A
-    negative seed raises DomainError: ``random.Random`` seeds from the
-    absolute value, so -s would repeat the draws of s.
+    Importing ``random`` adds a few small modules, where the first use of
+    ``numpy.random`` loads ``secrets``, ``hashlib`` and a dozen extension
+    modules.  The same seed gives the same draws, and successive calls
+    continue one stream.  A negative seed raises DomainError:
+    ``random.Random`` seeds from the absolute value, so -s would repeat the
+    draws of s.
     """
 
     def __init__(self, seed: int) -> None:
@@ -441,6 +478,7 @@ class NormalSource:
         self._gauss = random.Random(seed).gauss
 
     def standard_normal(self, size: int | tuple[int, ...]) -> np.ndarray:
+        import numpy as np
         count = math.prod(np.atleast_1d(size))
         draws = itertools.starmap(self._gauss, itertools.repeat((0.0, 1.0), count))
         return np.fromiter(draws, dtype=float, count=count).reshape(size)
@@ -451,6 +489,7 @@ def haar_random_state(dim: int, rng: NormalSource | np.random.Generator) -> np.n
 
     ``rng`` is any object with ``standard_normal(size)``.
     """
+    import numpy as np
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
@@ -460,6 +499,7 @@ def random_density_matrix(dim: int, rng: NormalSource | np.random.Generator) -> 
 
     ``rng`` is any object with ``standard_normal(size)``.
     """
+    import numpy as np
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
@@ -491,13 +531,13 @@ def holevo_oracle(
     mixed input first, and every entropy comes from one
     ``von_neumann_entropy`` call on that stack.
     """
+    import numpy as np
     rng = NormalSource(seed)
     d = basis.dim
     if not 1 <= n_samples <= MAX_ORACLE_SAMPLES:
         raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
     check_size_guard(orders.n_channels, orders.m_orders, d, n_samples)
-    if switch_map is None:
-        switch_map = _switch_map(orders, basis)
+    switch_map = _map_for(orders, basis, switch_map)
     c = ControlAmplitudes.uniform(orders.m_orders).as_array()
     weights = np.outer(c, c)[:, None, :, None]
 

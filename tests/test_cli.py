@@ -945,3 +945,36 @@ def test_random_argv_is_an_exit_code(tmp_path, capsys, monkeypatch):
         codes.add(code)
     # the draw reaches success, argument errors, i/o errors and the size guard
     assert {0, 2, 3, 4} <= codes
+
+
+def test_closed_forms_load_no_numpy(tmp_path):
+    # in a fresh interpreter, importing the CLI and running table, sweep and
+    # limit never loads numpy; verify loads it with its first array
+    script = (
+        "import contextlib, io, sys\n"
+        "import switchcap.cli\n"
+        "out = sys.argv[1]\n"
+        "runs = [['table'], ['table', '--format', 'json'],\n"
+        "        ['sweep', '--dims', '2,3', '--orders', '1..5', '--format', 'csv', '--out', out + '.csv'],\n"
+        "        ['sweep', '--dims', '2,3', '--orders', '1..5', '--format', 'json', '--out', out + '.json'],\n"
+        "        ['limit', '--dim', '2']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [switchcap.cli.main(argv) for argv in runs]\n"
+        "    loaded = ['numpy' in sys.modules]\n"
+        "    codes.append(switchcap.cli.main(['verify', '--channels', '2']))\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(codes, loaded)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(switchcap.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "grid")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout == "[0, 0, 0, 0, 0, 0] [False, True]\n", done.stderr
+    assert (tmp_path / "grid.csv").read_text().startswith(CSV_HEADER + "\n")
+    assert (tmp_path / "grid.json").read_text().startswith('{"rows": [')

@@ -443,7 +443,7 @@ class TestBuildSwitchKraus:
             finally:
                 tracemalloc.stop()
         # the block check takes a map built before tracing started
-        peaks[2] += sum(array.nbytes for array in held)
+        peaks[2] += held.blocks.nbytes + held.index.nbytes
         guard = check_size_guard(orders.n_channels, orders.m_orders, d)
         assert 0.9 * guard <= max(peaks) <= 1.1 * guard
 
@@ -587,8 +587,8 @@ def dense_map(orders, basis):
     Raveled image position (pi, a, c) is row (a, c) of block pi, so the index
     picks, for each output row (i, a, j, c), the block row that gives it.
     """
-    blocks, index = _switch_map(orders, basis)
-    return blocks.reshape(-1, basis.dim**2)[index.ravel()]
+    built = _switch_map(orders, basis)
+    return built.blocks.reshape(-1, basis.dim**2)[built.index.ravel()]
 
 
 def tuple_gram_map(orders, basis):
@@ -677,11 +677,11 @@ class TestSwitchMapAgainstTupleGram:
 
 class TestSwitchMap:
     def test_map_is_read_only(self):
-        blocks, index = built = _switch_map(cyclic_orders(3), weyl_basis(2))
+        built = _switch_map(cyclic_orders(3), weyl_basis(2))
         # three cyclic orders give three relative permutations
-        assert blocks.shape == (3, 4, 4)
-        assert index.shape == (3, 2, 3, 2)
-        for array in built:
+        assert built.blocks.shape == (3, 4, 4)
+        assert built.index.shape == (3, 2, 3, 2)
+        for array in (built.blocks, built.index):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0
@@ -692,7 +692,8 @@ class TestSwitchMap:
         first = _switch_map(orders, basis)
         for key in [(orders, basis), (cyclic_orders(3), weyl_basis(2))]:
             again = _switch_map(*key)
-            assert all(a is not b and np.array_equal(a, b) for a, b in zip(again, first))
+            pairs = [(again.blocks, first.blocks), (again.index, first.index)]
+            assert all(a is not b and np.array_equal(a, b) for a, b in pairs)
 
     def test_given_map_is_not_contracted_again(self, monkeypatch):
         # a map passed as switch_map is used as given, with the same result
@@ -728,6 +729,51 @@ class TestSwitchMap:
             apply_switch(orders, basis, c, np.eye(2) / 2, switch_map=built)
         with pytest.raises(ValueError):
             holevo_oracle(orders, basis, switch_map=built)
+
+    def test_map_of_another_order_set_of_the_same_shape_raises(self):
+        # a map for cyclic_orders(2) fits the M and d of the two orders of
+        # three channels below, but would give them chi_oracle 0.0488 where
+        # their own map gives 0.0
+        orders, basis = OrderSet(orders=((0, 1, 2), (1, 0, 2))), weyl_basis(2)
+        foreign = _switch_map(cyclic_orders(2), basis)
+        c, rho = ControlAmplitudes.uniform(2), random_density_matrix(2, np.random.default_rng(5))
+        with pytest.raises(DomainError, match="another order set or basis"):
+            apply_switch(orders, basis, c, rho, switch_map=foreign)
+        with pytest.raises(DomainError, match="another order set or basis"):
+            holevo_oracle(orders, basis, switch_map=foreign)
+        assert abs(holevo_oracle(orders, basis)) < 1e-12
+
+    def test_map_of_another_basis_object_raises(self):
+        # bases compare by identity, so an equal Weyl basis built again is refused
+        orders, basis = cyclic_orders(2), weyl_basis(2)
+        built = _switch_map(orders, weyl_basis(2))
+        with pytest.raises(DomainError, match="another order set or basis"):
+            apply_switch(orders, basis, ControlAmplitudes.uniform(2), np.eye(2) / 2, switch_map=built)
+        with pytest.raises(DomainError, match="another order set or basis"):
+            holevo_oracle(orders, basis, switch_map=built)
+
+    def test_map_of_an_equal_order_set_is_used(self, monkeypatch):
+        # an order set equal to the map's, built again, takes the map as given
+        basis = weyl_basis(2)
+        built = _switch_map(cyclic_orders(3), basis)
+
+        def never(*args):
+            raise AssertionError("the switch map was built again")
+
+        monkeypatch.setattr(switch, "_switch_map", never)
+        assert abs(holevo_oracle(cyclic_orders(3), basis, switch_map=built) - 0.0817) < 1e-4
+
+    def test_oracle_checks_seed_samples_and_guard_before_the_map(self, monkeypatch):
+        # a foreign map is refused only after the oracle's own argument checks
+        orders, basis = cyclic_orders(2), weyl_basis(2)
+        foreign = _switch_map(cyclic_orders(3), basis)
+        with pytest.raises(DomainError, match="seed"):
+            holevo_oracle(orders, basis, seed=-1, switch_map=foreign)
+        with pytest.raises(DomainError, match="sample count"):
+            holevo_oracle(orders, basis, n_samples=0, switch_map=foreign)
+        monkeypatch.setattr(switch, "BYTE_BUDGET", 2**10)
+        with pytest.raises(SizeGuardError):
+            holevo_oracle(orders, basis, switch_map=foreign)
 
     def test_alias_of_the_given_operators_cannot_stale_the_map(self):
         # a view of the caller's array, taken before the basis was built,
