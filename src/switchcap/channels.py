@@ -5,15 +5,19 @@ The channel is realized by Kraus summation over the d^2 Heisenberg-Weyl
 the Weyl operators are deterministic and dimension-generic, which keeps
 cross-term behavior reproducible in regression tests.
 
+``UnitaryBasis`` is a slotted record class (``switchcap._record``): its
+fields are read-only, and it compares and hashes by identity.  No module
+of the package imports ``dataclasses``.
+
 NumPy is imported inside each function that builds an array, not at
 module level, so importing the package for the closed forms loads none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import DimensionMismatchError, DimensionOutOfRangeError, DomainError
 from .linalg import gram
 
@@ -25,29 +29,33 @@ MIN_DIM = 2
 MAX_DIM = 16
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryBasis:
+class UnitaryBasis(Record):
     """An orthogonal basis of d^2 unitary operators on a d-level system.
 
     ``ops`` has shape (d^2, d, d).  Orthogonality means
     Tr(U_i^dagger U_j) = d * delta_ij.  Equality and hashing are by
     identity, as an array has no single truth value.  The basis holds its
     own read-only copy of ``ops``, so no alias of the caller's array can
-    change it.
+    change it, and its fields cannot be reassigned.
     """
+
+    __slots__ = ("dim", "ops")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     dim: int
     ops: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, ops: np.ndarray) -> None:
         import numpy as np
-        d = self.dim
-        if self.ops.shape != (d * d, d, d):
+        if ops.shape != (dim * dim, dim, dim):
             raise DimensionMismatchError(
-                f"expected {(d * d, d, d)} operators, got shape {self.ops.shape}"
+                f"expected {(dim * dim, dim, dim)} operators, got shape {ops.shape}"
             )
-        object.__setattr__(self, "ops", np.array(self.ops))
-        self.ops.setflags(write=False)
+        ops = np.array(ops)
+        ops.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "ops", ops)
 
 
 def weyl_basis(dim: int) -> UnitaryBasis:

@@ -30,6 +30,13 @@ and basis.  So the block checks and the oracle of one ``verify`` case
 share one build, which the case drops when they are done.  A map built for
 another order set or basis is refused.
 
+``OrderSet``, ``ControlAmplitudes`` and ``SwitchOutput`` are slotted
+record classes (``switchcap._record``) whose fields cannot be reassigned.
+The first two store their inputs as tuples, so a caller's list cannot
+change them after validation, and compare and hash by value.
+``SwitchOutput`` holds an array and compares and hashes by identity.  No
+module of the package imports ``dataclasses``.
+
 NumPy is imported inside each function that builds or reads an array, not
 at module level, so importing the package loads none; a repeat import of
 the loaded module inside a function costs a fraction of a microsecond.
@@ -41,9 +48,9 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
+from ._record import Record
 from .channels import UnitaryBasis
 from .errors import (
     DimensionMismatchError,
@@ -72,24 +79,38 @@ BYTE_BUDGET = 2**28
 Permutation = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrderSet:
-    """A list of M distinct causal orders over N channel slots."""
+class OrderSet(Record):
+    """A list of M distinct causal orders over N channel slots.
+
+    ``orders`` is stored as a tuple of tuples of ints, whatever sequences
+    it was given as.  An entry that ``operator.index`` refuses, such as the
+    float 1.0, raises DomainError.
+    """
+
+    __slots__ = ("orders",)
 
     orders: tuple[Permutation, ...]
 
-    def __post_init__(self) -> None:
-        if not self.orders:
+    def __init__(self, orders: tuple[Permutation, ...]) -> None:
+        stored = []
+        for order in orders:
+            try:
+                stored.append(tuple(map(operator.index, order)))
+            except TypeError:
+                raise DomainError(f"{order!r} is not a sequence of integers") from None
+        orders = tuple(stored)
+        if not orders:
             raise DomainError("an order set needs at least one order")
-        n = len(self.orders[0])
+        n = len(orders[0])
         if n < 2:
             raise DomainError("orders must involve at least two channels")
         reference = tuple(range(n))
-        for order in self.orders:
+        for order in orders:
             if tuple(sorted(order)) != reference:
                 raise DomainError(f"{order!r} is not a permutation of 0..{n - 1}")
-        if len(set(self.orders)) != len(self.orders):
+        if len(set(orders)) != len(orders):
             raise DomainError("duplicate causal orders")
+        object.__setattr__(self, "orders", orders)
 
     @property
     def n_channels(self) -> int:
@@ -114,23 +135,29 @@ class SwitchMap(NamedTuple):
     basis: UnitaryBasis
 
 
-@dataclass(frozen=True)
-class ControlAmplitudes:
-    """Nonnegative control amplitudes c_i with sum of squares equal to 1."""
+class ControlAmplitudes(Record):
+    """Nonnegative control amplitudes c_i with sum of squares equal to 1.
+
+    ``values`` is stored as a tuple, whatever sequence it was given as.
+    """
+
+    __slots__ = ("values",)
 
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[float, ...]) -> None:
+        values = tuple(values)
+        if not values:
             raise InvalidStateError("empty amplitude vector")
         # NaN passes both comparisons below, so it is rejected first.
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(math.isfinite(v) for v in values):
             raise InvalidStateError("amplitudes must be finite")
-        if min(self.values) < 0.0:
+        if min(values) < 0.0:
             raise InvalidStateError("amplitudes must be nonnegative")
-        total = sum(v * v for v in self.values)
+        total = sum(v * v for v in values)
         if abs(total - 1.0) > 1e-12:
             raise InvalidStateError(f"squared amplitudes sum to {total!r}, expected 1")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def uniform(cls, m: int) -> "ControlAmplitudes":
@@ -146,22 +173,33 @@ class ControlAmplitudes:
         return np.asarray(self.values, dtype=float)
 
 
-@dataclass
-class SwitchOutput:
-    """Joint control (x) target output state with its block decomposition."""
+class SwitchOutput(Record):
+    """Joint control (x) target output state with its block decomposition.
+
+    The state is validated and made read-only, and no field can be
+    reassigned.  Equality and hashing are by identity, as an array has no
+    single truth value.
+    """
+
+    __slots__ = ("m_orders", "dim", "state")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     m_orders: int
     dim: int
     state: np.ndarray
 
-    def __post_init__(self) -> None:
-        expected = self.m_orders * self.dim
-        if self.state.shape != (expected, expected):
+    def __init__(self, m_orders: int, dim: int, state: np.ndarray) -> None:
+        expected = m_orders * dim
+        if state.shape != (expected, expected):
             raise DimensionMismatchError(
-                f"state has shape {self.state.shape}, expected ({expected}, {expected})"
+                f"state has shape {state.shape}, expected ({expected}, {expected})"
             )
-        validate_density_matrix(self.state)
-        self.state.setflags(write=False)
+        validate_density_matrix(state)
+        state.setflags(write=False)
+        object.__setattr__(self, "m_orders", m_orders)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "state", state)
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Read-only view of the (i, j) control sector, a dim x dim matrix."""

@@ -70,6 +70,26 @@ class TestWeylBasis:
         assert hash(basis) == hash(basis)
         assert {basis: 1}[basis] == 1
 
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        basis = weyl_basis(2)
+        ops = basis.ops
+        for field, value in (("dim", 3), ("ops", np.zeros((9, 3, 3)))):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(basis, field, value)
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(basis, field)
+        assert basis.dim == 2 and basis.ops is ops
+
+    def test_repr_names_the_fields(self):
+        assert repr(weyl_basis(2)).startswith("UnitaryBasis(dim=2, ops=array([[[")
+
+    def test_positional_and_keyword_construction(self):
+        ops = weyl_basis(2).ops
+        by_position, by_keyword = UnitaryBasis(2, ops), UnitaryBasis(dim=2, ops=ops)
+        assert np.array_equal(by_position.ops, by_keyword.ops)
+        # each basis holds its own copy
+        assert by_position.ops is not ops and by_position != by_keyword
+
     def test_wrong_operator_count_rejected(self):
         with pytest.raises(DimensionMismatchError):
             UnitaryBasis(dim=2, ops=np.zeros((3, 2, 2), dtype=complex))

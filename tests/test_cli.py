@@ -978,3 +978,46 @@ def test_closed_forms_load_no_numpy(tmp_path):
     assert done.stdout == "[0, 0, 0, 0, 0, 0] [False, True]\n", done.stderr
     assert (tmp_path / "grid.csv").read_text().startswith(CSV_HEADER + "\n")
     assert (tmp_path / "grid.json").read_text().startswith('{"rows": [')
+
+
+def test_start_up_loads_no_dataclasses(tmp_path):
+    # in a fresh interpreter, the modules each step adds to sys.modules,
+    # against a snapshot taken before it, so modules that site hooks load
+    # at interpreter start-up are not counted
+    script = (
+        "import contextlib, io, json, sys\n"
+        "out = sys.argv[1]\n"
+        "added, seen = [], set(sys.modules)\n"
+        "def step():\n"
+        "    global seen\n"
+        "    added.append(sorted(set(sys.modules) - seen))\n"
+        "    seen = set(sys.modules)\n"
+        "import switchcap.cli\n"
+        "step()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [switchcap.cli.main(['table']),\n"
+        "             switchcap.cli.main(['sweep', '--dims', '2,3', '--orders', '1..5', '--out', out]),\n"
+        "             switchcap.cli.main(['limit', '--dim', '2'])]\n"
+        "    step()\n"
+        "    codes.append(switchcap.cli.main(['verify', '--channels', '2']))\n"
+        "    step()\n"
+        "print(json.dumps([codes, added]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(switchcap.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "grid.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    codes, (on_import, closed_forms, verify) = json.loads(done.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert "switchcap.cli" in on_import
+    for added in (on_import, closed_forms):
+        assert "dataclasses" not in added and "inspect" not in added
+    assert "numpy" in verify
+    assert "dataclasses" not in verify

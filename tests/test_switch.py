@@ -149,6 +149,99 @@ class TestControlAmplitudes:
             ControlAmplitudes(values=values)
 
 
+class TestRecordInputsAreCopied:
+    def test_amplitude_list_is_stored_as_a_tuple(self):
+        values = [0.6, 0.8]
+        amplitudes = ControlAmplitudes(values=values)
+        values[0] = 5.0
+        assert amplitudes.values == (0.6, 0.8)
+
+    def test_order_list_is_stored_as_tuples(self):
+        orders = [(0, 1), (1, 0)]
+        order_set = OrderSet(orders=orders)
+        orders.append((0, 0))
+        assert order_set.m_orders == 2
+        assert order_set.orders == ((0, 1), (1, 0))
+
+    def test_list_of_lists_is_accepted(self):
+        inner = [0, 1]
+        order_set = OrderSet(orders=[inner, [1, 0]])
+        inner[0] = 1
+        assert order_set == cyclic_orders(2)
+        assert hash(order_set) == hash(cyclic_orders(2))
+
+    def test_integer_like_entries_become_ints(self):
+        order_set = OrderSet(orders=np.array([[0, 1], [1, 0]]))
+        assert order_set == cyclic_orders(2)
+        assert all(type(k) is int for order in order_set.orders for k in order)
+
+    @pytest.mark.parametrize(
+        "orders",
+        [((0.0, 1.0), (1.0, 0.0)), ((0, 1), (1.0, 0)), ((0, 1), "10"), (0, 1)],
+        ids=["floats", "one-float", "string", "flat"],
+    )
+    def test_non_integer_entries_are_refused(self, orders):
+        with pytest.raises(DomainError, match="not a sequence of integers"):
+            OrderSet(orders=orders)
+
+
+class TestRecordSemantics:
+    def test_value_equality_and_hash(self):
+        assert OrderSet(orders=((0, 1), (1, 0))) == cyclic_orders(2)
+        assert OrderSet(orders=((1, 0), (0, 1))) != cyclic_orders(2)
+        assert hash(OrderSet(orders=((0, 1), (1, 0)))) == hash(cyclic_orders(2))
+        assert ControlAmplitudes(values=(0.6, 0.8)) == ControlAmplitudes(values=[0.6, 0.8])
+        assert ControlAmplitudes(values=(0.6, 0.8)) != ControlAmplitudes(values=(0.8, 0.6))
+        assert len({ControlAmplitudes.uniform(2), ControlAmplitudes.uniform(2)}) == 1
+        # records of different classes are never equal, even with equal fields
+        assert OrderSet(orders=((0, 1),)) != ControlAmplitudes(values=(1.0,))
+        assert cyclic_orders(2) != ((0, 1), (1, 0))
+
+    def test_repr(self):
+        assert repr(cyclic_orders(2)) == "OrderSet(orders=((0, 1), (1, 0)))"
+        assert repr(ControlAmplitudes(values=[0.6, 0.8])) == "ControlAmplitudes(values=(0.6, 0.8))"
+
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            (cyclic_orders(2), "orders"),
+            (ControlAmplitudes(values=(1.0,)), "values"),
+            (apply_switch(cyclic_orders(2), weyl_basis(2), ControlAmplitudes.uniform(2), np.eye(2) / 2), "dim"),
+        ],
+        ids=["order-set", "amplitudes", "output"],
+    )
+    def test_fields_cannot_be_assigned_or_deleted(self, record, field):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, field) is before
+
+    def test_output_equality_is_identity(self):
+        # an array has no single truth value, so == must not compare states
+        args = (cyclic_orders(2), weyl_basis(2), ControlAmplitudes.uniform(2), np.eye(2) / 2)
+        out, again = apply_switch(*args), apply_switch(*args)
+        assert out == out
+        assert out != again
+        assert hash(out) == hash(out)
+        assert {out: 1}[out] == 1
+        assert repr(out).startswith("SwitchOutput(m_orders=2, dim=2, state=array(")
+
+    def test_pickle_round_trip_validates_again(self):
+        import pickle
+
+        for record in (all_orders(3), ControlAmplitudes(values=(0.6, 0.8))):
+            restored = pickle.loads(pickle.dumps(record))
+            assert restored == record and hash(restored) == hash(record)
+        out = apply_switch(cyclic_orders(2), weyl_basis(2), ControlAmplitudes.uniform(2), np.eye(2) / 2)
+        restored = pickle.loads(pickle.dumps(out))
+        assert np.array_equal(restored.state, out.state)
+        assert not restored.state.flags.writeable
+
+
 class TestBuildSwitchKraus:
     def test_two_channel_structure(self):
         basis = weyl_basis(2)
