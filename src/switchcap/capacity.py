@@ -27,10 +27,15 @@ a caller of the closed forms never pays numpy's import.
 from __future__ import annotations
 
 import math
-import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DimensionOutOfRangeError, DomainError, InvalidSpectrumError, InvalidStateError
+from .errors import (
+    DimensionOutOfRangeError,
+    DomainError,
+    InvalidSpectrumError,
+    InvalidStateError,
+    _integer,
+)
 from .linalg import hermitian_spectrum, validate_spectrum
 from .switch import ControlAmplitudes
 
@@ -71,14 +76,10 @@ _new_tuple = tuple.__new__
 def _check_point(m_orders: int, dim: int) -> None:
     """Raise DomainError unless M and d are integers with M >= 1 and d in DIM_RANGE.
 
-    Integers are whatever ``operator.index`` accepts, NumPy integers
-    included; a float such as 2.0 is refused, not rounded.
+    Integers are whatever ``operator.index`` accepts (``errors._integer``).
     """
-    for name, value in (("number of orders", m_orders), ("dimension", dim)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise DomainError(f"{name} must be an integer, got {value}") from None
+    _integer("number of orders", m_orders)
+    _integer("dimension", dim)
     if m_orders < 1:
         raise DomainError(f"number of orders must be >= 1, got {m_orders}")
     lo, hi = DIM_RANGE

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .errors import DimensionMismatchError, DimensionOutOfRangeError, DomainError
+from .errors import DimensionMismatchError, DimensionOutOfRangeError, DomainError, _integer
 from .linalg import gram
 
 if TYPE_CHECKING:
@@ -35,8 +35,9 @@ class UnitaryBasis(Record):
     ``ops`` has shape (d^2, d, d).  Orthogonality means
     Tr(U_i^dagger U_j) = d * delta_ij.  Equality and hashing are by
     identity, as an array has no single truth value.  The basis holds its
-    own read-only copy of ``ops``, so no alias of the caller's array can
-    change it, and its fields cannot be reassigned.
+    own read-only copy of ``ops``, made from any array-like, so no alias of
+    the caller's array can change it, and its fields cannot be reassigned.
+    A ``dim`` that ``operator.index`` refuses raises DomainError.
     """
 
     __slots__ = ("dim", "ops")
@@ -48,11 +49,11 @@ class UnitaryBasis(Record):
 
     def __init__(self, dim: int, ops: np.ndarray) -> None:
         import numpy as np
+        dim, ops = _integer("dimension", dim), np.array(ops)
         if ops.shape != (dim * dim, dim, dim):
             raise DimensionMismatchError(
                 f"expected {(dim * dim, dim, dim)} operators, got shape {ops.shape}"
             )
-        ops = np.array(ops)
         ops.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "ops", ops)
@@ -66,6 +67,7 @@ def weyl_basis(dim: int) -> UnitaryBasis:
     (a=0, b=0) is the identity.
     """
     import numpy as np
+    dim = _integer("dimension", dim)
     if not MIN_DIM <= dim <= MAX_DIM:
         raise DimensionOutOfRangeError(
             f"dimension {dim} outside supported range [{MIN_DIM}, {MAX_DIM}]"

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import operator
 
 
 class SwitchCapError(Exception):
@@ -35,3 +37,14 @@ class SizeGuardError(SwitchCapError):
 
 class DomainError(SwitchCapError, ValueError):
     """An argument lies outside the domain that its function accepts."""
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int, or DomainError if ``operator.index`` refuses it.
+
+    NumPy integers are accepted; a float such as 2.0 is refused, not rounded.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value}") from None

@@ -57,6 +57,7 @@ from .errors import (
     DomainError,
     InvalidStateError,
     SizeGuardError,
+    _integer,
 )
 from .linalg import gram, hermitian_spectrum, validate_density_matrix, von_neumann_entropy
 
@@ -83,8 +84,8 @@ class OrderSet(Record):
     """A list of M distinct causal orders over N channel slots.
 
     ``orders`` is stored as a tuple of tuples of ints, whatever sequences
-    it was given as.  An entry that ``operator.index`` refuses, such as the
-    float 1.0, raises DomainError.
+    it was given as.  An ``orders`` that is not iterable, or an entry that
+    ``operator.index`` refuses, such as the float 1.0, raises DomainError.
     """
 
     __slots__ = ("orders",)
@@ -92,8 +93,12 @@ class OrderSet(Record):
     orders: tuple[Permutation, ...]
 
     def __init__(self, orders: tuple[Permutation, ...]) -> None:
+        try:
+            given = iter(orders)
+        except TypeError:
+            raise DomainError(f"{orders!r} is not a sequence of orders") from None
         stored = []
-        for order in orders:
+        for order in given:
             try:
                 stored.append(tuple(map(operator.index, order)))
             except TypeError:
@@ -138,7 +143,8 @@ class SwitchMap(NamedTuple):
 class ControlAmplitudes(Record):
     """Nonnegative control amplitudes c_i with sum of squares equal to 1.
 
-    ``values`` is stored as a tuple, whatever sequence it was given as.
+    ``values`` is stored as a tuple, whatever sequence it was given as.  A
+    ``values`` that is not a sequence of real numbers raises InvalidStateError.
     """
 
     __slots__ = ("values",)
@@ -146,11 +152,15 @@ class ControlAmplitudes(Record):
     values: tuple[float, ...]
 
     def __init__(self, values: tuple[float, ...]) -> None:
-        values = tuple(values)
+        try:
+            values = tuple(values)
+            finite = all(math.isfinite(v) for v in values)
+        except TypeError:
+            raise InvalidStateError(f"amplitudes must be real numbers, got {values!r}") from None
         if not values:
             raise InvalidStateError("empty amplitude vector")
         # NaN passes both comparisons below, so it is rejected first.
-        if not all(math.isfinite(v) for v in values):
+        if not finite:
             raise InvalidStateError("amplitudes must be finite")
         if min(values) < 0.0:
             raise InvalidStateError("amplitudes must be nonnegative")
@@ -161,6 +171,7 @@ class ControlAmplitudes(Record):
 
     @classmethod
     def uniform(cls, m: int) -> "ControlAmplitudes":
+        m = _integer("number of orders", m)
         if m < 1:
             raise DomainError(f"need at least one order, got {m}")
         return cls(values=tuple([1.0 / math.sqrt(m)] * m))
@@ -176,9 +187,9 @@ class ControlAmplitudes(Record):
 class SwitchOutput(Record):
     """Joint control (x) target output state with its block decomposition.
 
-    The state is validated and made read-only, and no field can be
-    reassigned.  Equality and hashing are by identity, as an array has no
-    single truth value.
+    ``state`` is taken as an array (a nested list is converted), validated
+    and made read-only, and no field can be reassigned.  Equality and
+    hashing are by identity, as an array has no single truth value.
     """
 
     __slots__ = ("m_orders", "dim", "state")
@@ -190,6 +201,9 @@ class SwitchOutput(Record):
     state: np.ndarray
 
     def __init__(self, m_orders: int, dim: int, state: np.ndarray) -> None:
+        import numpy as np
+        m_orders, dim = _integer("number of orders", m_orders), _integer("dimension", dim)
+        state = np.asarray(state)
         expected = m_orders * dim
         if state.shape != (expected, expected):
             raise DimensionMismatchError(
@@ -211,6 +225,7 @@ class SwitchOutput(Record):
 
 def order_count(n_channels: int, mode: str) -> int:
     """M of the ``cyclic`` or ``all`` order set over N channels, without building it."""
+    n_channels = _integer("channel count", n_channels)
     if n_channels < 2:
         raise DomainError(f"need at least two channels, got {n_channels}")
     if mode == "cyclic":
@@ -225,18 +240,14 @@ def order_count(n_channels: int, mode: str) -> int:
 
 def cyclic_orders(n_channels: int) -> OrderSet:
     """The N cyclic shifts of (0, 1, ..., N-1), identity first."""
-    order_count(n_channels, "cyclic")
-    orders = tuple(
-        tuple((shift + i) % n_channels for i in range(n_channels))
-        for shift in range(n_channels)
-    )
-    return OrderSet(orders=orders)
+    n = order_count(n_channels, "cyclic")
+    return OrderSet(orders=tuple(tuple((shift + i) % n for i in range(n)) for shift in range(n)))
 
 
 def all_orders(n_channels: int) -> OrderSet:
     """All N! permutations in lexicographic order."""
     order_count(n_channels, "all")
-    return OrderSet(orders=tuple(itertools.permutations(range(n_channels))))
+    return OrderSet(orders=tuple(itertools.permutations(range(operator.index(n_channels)))))
 
 
 def cyclically_related(a: Permutation, b: Permutation) -> bool:
@@ -260,33 +271,32 @@ def check_size_guard(
     * The completeness check's Kraus family: d^(2N) order products of M d^2
       complex entries, stored order-major so the check copies no block,
       and the product chain of d^(2N) d^2 entries that fills them,
-      16 d^(2N) d^2 (M + 1) bytes, plus K.  ``verify`` builds the first
-      order's family alone, one slab and the chain, after it has dropped
-      its map, so for it this term counts (M + 1)/2 times the products it
-      holds and a K it no longer holds.
+      16 d^(2N) d^2 (M + 1) bytes.  ``verify`` builds the first order's
+      family alone, one slab and the chain, after it has dropped its map,
+      so for it this term counts (M + 1)/2 times the products it holds.
     * The switch map's contraction: its chain state, a factor and their
       product, 48 P d^(N+3) bytes.
     * The oracle, for n = max(n_samples, d) pure inputs, holds K and 2^14
-      bytes of generator state and array headers, and in turn: its normal
-      draws, 8 bytes each in the array ``NormalSource`` fills, beside up to
-      three complex (n, d) arrays while they become the pure vectors,
-      64 d n bytes; its input stack, I = 16 (n + 1) d^2 bytes, beside the
-      pure vectors and their conjugate, I + 32 d n; I and the stacked
-      spectra, S = 8 (n + 1) M d bytes, beside one output state and
-      ``hermitian_spectrum``'s copies, I + S + 56 (M d)^2; and S beside
-      the single entropy pass's two (n + 1, M d) float arrays and its
-      mask, 25 (n + 1) M d.
+      bytes of generator state and array headers, and in turn: the draws
+      of ``_haar_states`` with the norm's temporaries, 48 d n bytes; the
+      n pure vectors, 16 d n bytes, beside the spectra, S = 8 (n + 1) M d
+      bytes, one output state and ``hermitian_spectrum``'s copies,
+      56 (M d)^2; and S beside the entropy pass's two (n + 1, M d) float
+      arrays and its mask, 25 (n + 1) M d in all.
 
     ``verify``'s block check (``cli._block_residual``) holds about
     61 (M d)^2 bytes beside K and is not counted: M <= N! keeps it below
     the family's term on every case the budget admits.
 
-    The domain is N >= 2 and d >= 2; anything else raises DomainError.
-    Within it, an N with 2N past the budget's bit length is refused first,
-    as its 2^(2N) products alone pass the budget, so d^(2N) is never built
-    as a huge integer and N <= 14 past the first refusal.
+    The domain is integers with N >= 2 and d >= 2: a value that
+    ``operator.index`` refuses, and anything outside the domain, raises
+    DomainError.  Within it, an N with 2N past the budget's bit length is
+    refused first, as its 2^(2N) products alone pass the budget, so d^(2N)
+    is never built as a huge integer and N <= 14 past the first refusal.
     """
-    dim, m, n = int(dim), int(m_orders), max(int(n_samples), int(dim))
+    n_channels = _integer("channel count", n_channels)
+    m, dim = _integer("number of orders", m_orders), _integer("dimension", dim)
+    n = max(_integer("sample count", n_samples), dim)
     if n_channels < 2 or dim < 2:
         raise DomainError(f"the size guard needs N >= 2 and d >= 2, got N={n_channels}, d={dim}")
     if 2 * n_channels > BYTE_BUDGET.bit_length():
@@ -295,21 +305,19 @@ def check_size_guard(
             f"products (budget {BYTE_BUDGET:.2e})"
         )
     p = min(m * (m - 1) + 1, math.factorial(n_channels))
-    held = 16 * p * dim**4 + 8 * (m * dim) ** 2
-    oracle = held + 2**14
-    inputs, spectra = 16 * (n + 1) * dim**2, 8 * (n + 1) * m * dim
+    oracle = 16 * p * dim**4 + 8 * (m * dim) ** 2 + 2**14
     size = max(
-        16 * dim ** (2 * n_channels) * dim**2 * (m + 1) + held,
+        16 * dim ** (2 * n_channels) * dim**2 * (m + 1),
         48 * p * dim ** (n_channels + 3),
-        oracle + max(64 * dim * n, inputs + 32 * dim * n),
-        oracle + inputs + spectra + 56 * (m * dim) ** 2,
+        oracle + 48 * dim * n,
+        oracle + 16 * dim * n + 8 * (n + 1) * m * dim + 56 * (m * dim) ** 2,
         oracle + 25 * (n + 1) * m * dim,
     )
     if size > BYTE_BUDGET:
         # Past the float range the count is given as a power of two.
         text = f"{size:.2e}" if size.bit_length() < 1024 else f"2^{size.bit_length()}"
         raise SizeGuardError(
-            f"N={n_channels}, d={dim}, M={m_orders} needs ~{text} bytes of order "
+            f"N={n_channels}, d={dim}, M={m} needs ~{text} bytes of order "
             f"products, switch map and oracle states (budget {BYTE_BUDGET:.2e})"
         )
     return size
@@ -510,7 +518,7 @@ class NormalSource:
     """
 
     def __init__(self, seed: int) -> None:
-        seed = operator.index(seed)
+        seed = _integer("seed", seed)
         if seed < 0:
             raise DomainError(f"seed must be nonnegative, got {seed}")
         self._gauss = random.Random(seed).gauss
@@ -522,14 +530,29 @@ class NormalSource:
         return np.fromiter(draws, dtype=float, count=count).reshape(size)
 
 
+def _haar_states(count: int, dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
+    """``count`` Haar-random pure state vectors, the rows of a (count, dim) array.
+
+    Each row is a complex Gaussian vector over its norm, its real parts
+    drawn before its imaginary parts, so a batch is ``count`` single draws,
+    to the last bit.  The draws are copied once into complex entries, each
+    real part beside its imaginary part, and dropped before the norm is
+    taken, so the batch never holds more than the vectors and the norm's
+    two temporaries, 48 bytes per entry, as ``check_size_guard`` counts
+    it.  ``rng`` is any object with ``standard_normal(size)``.
+    """
+    import numpy as np
+    v = rng.standard_normal((count, 2, dim)).transpose(0, 2, 1).copy().view(complex)[..., 0]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
+
+
 def haar_random_state(dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
-    """Haar-random pure state vector from complex Gaussian entries.
+    """Haar-random pure state vector from complex Gaussian entries, as ``_haar_states`` draws it.
 
     ``rng`` is any object with ``standard_normal(size)``.
     """
-    import numpy as np
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return _haar_states(1, dim, rng)[0]
 
 
 def random_density_matrix(dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
@@ -561,17 +584,19 @@ def holevo_oracle(
     Tr(rho) I for any order set, so every pure input has the same output
     entropy and the value is exact, whatever the sample count and seed;
     with another basis, adding samples can only lower the reported minimum.
-    A negative seed or a sample count outside [1, MAX_ORACLE_SAMPLES] raises
-    DomainError, and a count that ``check_size_guard`` refuses SizeGuardError,
-    before any state is drawn or any map taken.  ``switch_map`` is as for
-    ``apply_switch``.  The output states are taken one at a time,
-    each spectrum written into its row of one (n_samples + 1, M*d) array,
-    mixed input first, and every entropy comes from one
-    ``von_neumann_entropy`` call on that stack.
+    A negative or non-integer seed, or a sample count that is not an
+    integer in [1, MAX_ORACLE_SAMPLES], raises DomainError, and a count
+    that ``check_size_guard`` refuses SizeGuardError, before any state is
+    drawn or any map taken.  ``switch_map`` is as for ``apply_switch``.
+    The Haar vectors come from one ``_haar_states`` batch, the draws that
+    successive ``haar_random_state`` calls make.  Each input's projector is
+    built as its output state is taken, one at a time, mixed input first,
+    and each spectrum is written into its row of one stack, from which a
+    single ``von_neumann_entropy`` call takes every entropy.
     """
     import numpy as np
     rng = NormalSource(seed)
-    d = basis.dim
+    d, n_samples = basis.dim, _integer("sample count", n_samples)
     if not 1 <= n_samples <= MAX_ORACLE_SAMPLES:
         raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
     check_size_guard(orders.n_channels, orders.m_orders, d, n_samples)
@@ -579,24 +604,12 @@ def holevo_oracle(
     c = ControlAmplitudes.uniform(orders.m_orders).as_array()
     weights = np.outer(c, c)[:, None, :, None]
 
-    # One draw of every sample's real and imaginary parts, in the stream
-    # order of one haar_random_state call per sample.
-    parts = rng.standard_normal((max(0, n_samples - d), 2, d))
-    pure = np.concatenate([np.eye(d, dtype=complex), parts[:, 0] + 1j * parts[:, 1]])
-    del parts
-    pure[d:] /= np.linalg.norm(pure[d:], axis=1, keepdims=True)
-    # The mixed input, then the pure projectors, one strided product per
-    # entry: a broadcast product would take NumPy's iteration buffers.
-    rhos = np.empty((len(pure) + 1, d, d), dtype=complex)
-    rhos[0] = np.eye(d) / d
-    conj = pure.conj()
-    for a, b in itertools.product(range(d), repeat=2):
-        np.multiply(pure[:, a], conj[:, b], out=rhos[1:, a, b])
-    del pure, conj
-    # One spectrum per row, the mixed input's first, then every entropy at once.
-    spectra = np.empty((len(rhos), orders.m_orders * d))
-    for s in range(len(rhos)):
-        spectra[s] = hermitian_spectrum(_output_state(switch_map, weights, rhos[s]))
-    del rhos
+    pure = np.concatenate([np.eye(d, dtype=complex), _haar_states(max(0, n_samples - d), d, rng)])
+    inputs = itertools.chain([np.eye(d, dtype=complex) / d], (v[:, None] * v.conj() for v in pure))
+    spectra = np.empty((len(pure) + 1, orders.m_orders * d))
+    for s, rho in enumerate(inputs):
+        spectra[s] = hermitian_spectrum(_output_state(switch_map, weights, rho))
+    # The entropy pass holds the spectra alone, as check_size_guard counts it.
+    del pure
     entropies = von_neumann_entropy(spectra)
     return float(entropies[0] - entropies[1:].min())

@@ -63,13 +63,32 @@ def naive_cross_block(order_a, order_b, basis, rho):
         lambda: OrderSet(orders=((0, 1), (0, 1))),
         lambda: check_completeness([]),
         lambda: partial_trace(np.eye(4) / 4, 2, 2, "C"),
+        lambda: ControlAmplitudes(values=(1j,)),
+        lambda: ControlAmplitudes(values="ab"),
+        lambda: UnitaryBasis(dim=2, ops=weyl_basis(2).ops[:2].tolist()),
+        lambda: SwitchOutput(2, 1, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        lambda: OrderSet(orders=5),
+        lambda: ControlAmplitudes.uniform(2.5),
+        lambda: cyclic_orders(2.0),
+        lambda: all_orders(3.0),
+        lambda: weyl_basis(2.0),
+        lambda: NormalSource(1.5),
+        lambda: holevo_oracle(cyclic_orders(2), weyl_basis(2), n_samples=3.5),
+        lambda: check_size_guard(2, 2, 2.9),
     ],
-    ids=["no-orders", "one-channel", "not-a-permutation", "duplicate", "no-kraus", "keep"],
+    ids=[
+        "no-orders", "one-channel", "not-a-permutation", "duplicate", "no-kraus", "keep",
+        "complex-amplitude", "string-amplitudes", "nested-list-basis", "nested-list-output",
+        "int-orders", "float-uniform", "float-cyclic", "float-all", "float-weyl",
+        "float-seed", "float-samples", "float-guard-dim",
+    ],
 )
 def test_argument_errors_are_switchcap_errors(call):
-    # each is a DomainError, so still a ValueError
-    with pytest.raises(SwitchCapError):
+    # each is a DomainError, InvalidStateError or DimensionMismatchError, so
+    # still a ValueError, and never a bare TypeError or AttributeError
+    with pytest.raises(SwitchCapError) as caught:
         call()
+    assert isinstance(caught.value, ValueError)
 
 
 class TestOrderSets:
@@ -421,8 +440,8 @@ class TestBuildSwitchKraus:
     def test_size_guard_counts_bytes(self, n_channels, mode, dim, admitted):
         # The largest of the order products with their product chain, the
         # contraction's three arrays and the oracle's stages at 64 samples,
-        # the first and last beside the switch map's K = 16 P d^4 + 8 (M d)^2
-        # bytes: max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), O + K) bytes,
+        # the last beside the switch map's K = 16 P d^4 + 8 (M d)^2 bytes:
+        # max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), O + K) bytes,
         # P = min(M (M - 1) + 1, N!).  Every case here is bound by the products.
         orders = {"all": all_orders, "cyclic": cyclic_orders}[mode](n_channels)
         if admitted:
@@ -433,18 +452,18 @@ class TestBuildSwitchKraus:
 
     def test_size_guard_decisions_on_a_grid(self):
         # Largest admitted M in 1..130 for each (N, d), N in 2..15 and d in
-        # 2..16, from max(16 d^(2N) d^2 (M + 1) + K, 48 P d^(N+3), O + K)
+        # 2..16, from max(16 d^(2N) d^2 (M + 1), 48 P d^(N+3), O + K)
         # bytes with K = 16 P d^4 + 8 (M d)^2, P = min(M (M - 1) + 1, N!) and
         # O the oracle's stages at 64 samples, against 2^28.  The pairs in
         # all_m admit every M; the other pairs admit none.  The contraction's
         # term binds at (8, 2) and the products' everywhere else.  d = 1 is
         # outside the guard's domain at every M.
         largest = {
-            (2, 8): 62, (2, 9): 30, (2, 10): 15,
+            (2, 8): 63, (2, 9): 30, (2, 10): 15,
             (2, 11): 8, (2, 12): 4, (2, 13): 2, (2, 14): 1,
             (3, 5): 41, (3, 6): 8, (3, 7): 1,
-            (4, 4): 14, (5, 3): 30, (6, 3): 2,
-            (8, 2): 52, (9, 2): 14, (10, 2): 2,
+            (4, 4): 15, (5, 3): 30, (6, 3): 2,
+            (8, 2): 52, (9, 2): 15, (10, 2): 3,
         }
         all_m = {
             (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3), (3, 4),
@@ -496,7 +515,7 @@ class TestBuildSwitchKraus:
         with pytest.raises(SizeGuardError) as caught:
             check_size_guard(2, 2, 16)
         assert str(caught.value) == (
-            "N=2, d=16, M=2 needs ~8.07e+08 bytes of order products, "
+            "N=2, d=16, M=2 needs ~8.05e+08 bytes of order products, "
             "switch map and oracle states (budget 2.68e+08)"
         )
 
@@ -994,10 +1013,11 @@ class TestHolevoOracle:
 
     def test_memory_is_the_guard_oracle_term(self):
         # the map's blocks and index, the 2^14 bytes the guard allows for small
-        # objects, the 65 inputs, the 65 stacked spectra, one output state and
-        # what hermitian_spectrum holds beside it: 16 P d^4 + 8 (M d)^2 + 2^14
-        # + 16 * 65 d^2 + 8 * 65 M d + 56 (M d)^2 bytes, within 5 %, over all
-        # 120 orders, whose relative permutations are all P = 120.
+        # objects, the 64 pure vectors, the 65 stacked spectra, one output
+        # state and what hermitian_spectrum holds beside it: 16 P d^4
+        # + 8 (M d)^2 + 2^14 + 16 * 64 d + 8 * 65 M d + 56 (M d)^2 bytes,
+        # within 5 %, over all 120 orders, whose relative permutations are
+        # all P = 120.
         # The warm-up loads what numpy imports lazily; the measured call
         # builds its own map.
         orders, d = all_orders(5), 2
@@ -1010,7 +1030,7 @@ class TestHolevoOracle:
         finally:
             tracemalloc.stop()
         md = orders.m_orders * d
-        term = 16 * 120 * d**4 + 8 * md**2 + 2**14 + 16 * 65 * d**2 + 8 * 65 * md + 56 * md**2
+        term = 16 * 120 * d**4 + 8 * md**2 + 2**14 + 16 * 64 * d + 8 * 65 * md + 56 * md**2
         assert 0.95 * term <= peak <= 1.05 * term
 
     def test_single_order_transmits_nothing(self):
@@ -1037,7 +1057,8 @@ class TestHolevoOracle:
     @pytest.mark.parametrize(("d", "n_samples"), [(2, 64), (3, 8), (12, 13), (3, 3)])
     def test_samples_are_the_per_call_haar_draws(self, monkeypatch, d, n_samples):
         # the oracle's inputs after the mixed state and the d basis states
-        # are n_samples - d successive haar_random_state draws, to the last bits
+        # are the projectors of n_samples - d successive haar_random_state
+        # draws, bit for bit: both come from one batch draw
         inputs = []
         output_state = switch._output_state
 
@@ -1052,7 +1073,7 @@ class TestHolevoOracle:
         source = NormalSource(7919)
         for rho in inputs[1 + d :]:
             v = haar_random_state(d, source)
-            assert np.abs(rho - np.outer(v, v.conj())).max() < 1e-15
+            assert np.array_equal(rho, np.outer(v, v.conj()))
 
     def test_rejects_negative_seed_before_any_work(self, monkeypatch):
         def never(*args, **kwargs):
@@ -1075,26 +1096,26 @@ class TestHolevoOracle:
             holevo_oracle(cyclic_orders(2), weyl_basis(2), n_samples=MAX_ORACLE_SAMPLES + 1)
 
     def test_state_budget_boundary(self):
-        # N=2, d=13: beside the switch map and 2^14 bytes of small objects, the
-        # guard's oracle stage binds while the input stack, one 13 x 13
-        # complex matrix per sample plus the mixed one, is filled from the
-        # pure vectors and their conjugate.  At d=2 the sample cap binds
-        # long before the budget.
-        held = 16 * 2 * 13**4 + 8 * 26**2
-        largest = (BYTE_BUDGET - held - 2**14 - 16 * 13**2) // (16 * 13**2 + 32 * 13)
-        assert largest < MAX_ORACLE_SAMPLES
-        check_size_guard(2, 2, 13, largest)
+        # N=5, d=2 over all 120 orders: beside the switch map and 2^14 bytes
+        # of small objects, the guard's entropy stage binds, the n + 1
+        # stacked spectra of M d = 240 values with the entropy pass's two
+        # float arrays and its mask, 25 (n + 1) M d bytes.  N=2 at d=2 and
+        # at d=13 reach the sample cap before the budget.
+        held = 16 * 120 * 2**4 + 8 * 240**2
+        largest = (BYTE_BUDGET - held - 2**14) // (25 * 240) - 1
+        assert largest == 44_653
+        check_size_guard(5, 120, 2, largest)
         with pytest.raises(SizeGuardError):
-            check_size_guard(2, 2, 13, largest + 1)
+            check_size_guard(5, 120, 2, largest + 1)
         with pytest.raises(SizeGuardError):
-            holevo_oracle(cyclic_orders(2), weyl_basis(13), n_samples=largest + 1)
+            holevo_oracle(all_orders(5), weyl_basis(2), n_samples=largest + 1)
         check_size_guard(2, 2, 2, MAX_ORACLE_SAMPLES)
+        check_size_guard(2, 2, 13, MAX_ORACLE_SAMPLES)
 
     def test_state_budget_message_past_the_float_range(self):
-        # the input stack beside the pure vectors and their conjugate,
-        # 16 (n + 1) d^2 + 32 d n bytes for n = 10^600 samples, is past the
-        # largest float
-        with pytest.raises(SizeGuardError, match="needs ~2\\^2001 bytes"):
+        # the entropy pass, 25 (n + 1) M d bytes for n = 10^600 samples, is
+        # past the largest float
+        with pytest.raises(SizeGuardError, match="needs ~2\\^2000 bytes"):
             check_size_guard(2, 2, 2, 10**600)
 
     @pytest.mark.parametrize(("d", "bits"), [(2, 18), (4, 18), (6, 22)])
@@ -1131,6 +1152,32 @@ class TestHolevoOracle:
         monkeypatch.setattr(NormalSource, "standard_normal", never)
         with pytest.raises(SizeGuardError):
             holevo_oracle(orders, basis, n_samples=low + 1)
+
+    def test_guard_counts_the_oracle_stages_at_a_wide_target(self):
+        # N=2, d=13, where an input stack would be the largest oracle array.
+        # The guard's count there is the Kraus family's, 2.3e8 bytes, so no
+        # small budget isolates the oracle as the test above does.  Instead,
+        # with the map built beforehand, the call's peak beside it is K + 2^14
+        # and the largest of the guard's oracle stages, within 5 % as in
+        # test_memory_is_the_guard_oracle_term: the draws, 48 d n; the pure
+        # vectors, the stacked spectra S and one output state, 16 d n + S
+        # + 56 (M d)^2; or the entropy pass, 25 (n + 1) M d, which binds at
+        # 4000 samples.
+        orders, d, n = cyclic_orders(2), 13, 4000
+        basis = weyl_basis(d)
+        held = _switch_map(orders, basis)
+        holevo_oracle(orders, basis, n_samples=d, switch_map=held)
+        tracemalloc.start()
+        try:
+            holevo_oracle(orders, basis, n_samples=n, switch_map=held)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peak += held.blocks.nbytes + held.index.nbytes
+        md = orders.m_orders * d
+        stages = (48 * d * n, 16 * d * n + 8 * (n + 1) * md + 56 * md**2, 25 * (n + 1) * md)
+        term = 16 * 2 * d**4 + 8 * md**2 + 2**14 + max(stages)
+        assert 0.95 * term <= peak <= 1.05 * term
 
 
 class TestNormalSource:
