@@ -73,14 +73,12 @@ def weyl_basis(dim: int) -> UnitaryBasis:
             f"dimension {dim} outside supported range [{MIN_DIM}, {MAX_DIM}]"
         )
     omega = np.exp(2j * np.pi / dim)
-    ops = np.zeros((dim * dim, dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            op = ops[a * dim + b]
-            # (X^a Z^b)|k> = w^(b k) |k + a mod d>
-            for k in range(dim):
-                op[(k + a) % dim, k] = omega ** (b * k)
-    return UnitaryBasis(dim=dim, ops=ops)
+    k = np.arange(dim)
+    a, b = k[:, None, None], k[None, :, None]
+    ops = np.zeros((dim,) * 4, dtype=complex)
+    # (X^a Z^b)|k> = w^(b k) |k + a mod d>
+    ops[a, b, (k + a) % dim, k] = omega ** (b * k)
+    return UnitaryBasis(dim=dim, ops=ops.reshape(dim * dim, dim, dim))
 
 
 def depolarize(basis: UnitaryBasis, rho: np.ndarray) -> np.ndarray:

@@ -209,12 +209,12 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
 
     Every control block of the brute-force output is checked against the
     closed-form block for three inputs (a basis projector, a seeded random
-    mixed state, the maximally mixed state).  Blocks of the pairs whose
-    relative permutation is a rotation (``cyclic_pairs``) must agree within
-    BLOCK_TOL, and so must the Kraus completeness residual.  That residual
-    is taken on the first order's Kraus family alone, one slab of d^(2N)
-    products: every order's control block of the completeness sum is the
-    same operator sum with its tuples relabeled, for any basis.  Other pairs,
+    mixed state, the maximally mixed state).  Blocks of the pairs in which
+    one order is a cyclic shift of the other (``cyclic_pairs``) must agree
+    within BLOCK_TOL, and so must the Kraus completeness residual.  That
+    residual is taken on the first order's Kraus family alone, one slab of
+    d^(2N) products: every order's control block of the completeness sum is
+    the same operator sum with its tuples relabeled, for any basis.  Other pairs,
     for which the closed form is not claimed, only make the status
     ``divergent-block`` if they miss it.  The block checks and the oracle
     share one switch map, built after the inputs are drawn and dropped
@@ -239,7 +239,6 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     for rho in inputs:
         block = _block_residual(orders, basis, amplitudes, rho, switch_map=switch_map)
         residual = np.maximum(residual, block)
-    # After the byte guard in _switch_map, which refuses any N past 14.
     related = cyclic_pairs(orders)
     max_block_residual = float(residual[related].max())
 

@@ -23,6 +23,7 @@ from .errors import (
     InvalidStateError,
     NoConvergenceError,
     NotHermitianError,
+    _integer,
 )
 
 if TYPE_CHECKING:
@@ -174,9 +175,13 @@ def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
     ``rho`` acts on a tensor product of an ``dim_a``-level system A and a
     ``dim_b``-level system B, indexed row-major as ``i * dim_b + j``.
     ``keep`` selects the surviving subsystem, ``"A"`` or ``"B"``.  The trace
-    of the input is preserved exactly up to floating-point summation.
+    of the input is preserved exactly up to floating-point summation.  A
+    dimension that is not an integer, or is below 1, raises DomainError.
     """
     import numpy as np
+    dim_a, dim_b = _integer("dimension", dim_a), _integer("dimension", dim_b)
+    if min(dim_a, dim_b) < 1:
+        raise DomainError(f"subsystem dimensions must be at least 1, got {dim_a} x {dim_b}")
     rho = np.asarray(rho, dtype=complex)
     dim = dim_a * dim_b
     if rho.shape != (dim, dim):

@@ -217,6 +217,7 @@ class SwitchOutput(Record):
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Read-only view of the (i, j) control sector, a dim x dim matrix."""
+        i, j = _integer("block index", i), _integer("block index", j)
         if not (0 <= i < self.m_orders and 0 <= j < self.m_orders):
             raise DomainError(f"block ({i}, {j}) outside [0, {self.m_orders})")
         d = self.dim
@@ -251,11 +252,18 @@ def all_orders(n_channels: int) -> OrderSet:
 
 
 def cyclically_related(a: Permutation, b: Permutation) -> bool:
-    """True when one order is a cyclic shift of the other."""
+    """True when one order is a cyclic shift of the other.
+
+    An ``a`` or ``b`` that is not a sequence raises DomainError.
+    """
+    try:
+        a, b = tuple(a), tuple(b)
+    except TypeError:
+        raise DomainError(f"{a!r} and {b!r} must be sequences") from None
     n = len(a)
     if len(b) != n:
         return False
-    return any(tuple(a[(i + k) % n] for i in range(n)) == tuple(b) for k in range(n))
+    return any(tuple(a[(i + k) % n] for i in range(n)) == b for k in range(n))
 
 
 def check_size_guard(
@@ -288,7 +296,7 @@ def check_size_guard(
     61 (M d)^2 bytes beside K and is not counted: M <= N! keeps it below
     the family's term on every case the budget admits.
 
-    The domain is integers with N >= 2 and d >= 2: a value that
+    The domain is integers with N >= 2, M >= 1 and d >= 2: a value that
     ``operator.index`` refuses, and anything outside the domain, raises
     DomainError.  Within it, an N with 2N past the budget's bit length is
     refused first, as its 2^(2N) products alone pass the budget, so d^(2N)
@@ -297,8 +305,10 @@ def check_size_guard(
     n_channels = _integer("channel count", n_channels)
     m, dim = _integer("number of orders", m_orders), _integer("dimension", dim)
     n = max(_integer("sample count", n_samples), dim)
-    if n_channels < 2 or dim < 2:
-        raise DomainError(f"the size guard needs N >= 2 and d >= 2, got N={n_channels}, d={dim}")
+    if n_channels < 2 or m < 1 or dim < 2:
+        raise DomainError(
+            f"the size guard needs N >= 2, M >= 1 and d >= 2, got N={n_channels}, M={m}, d={dim}"
+        )
     if 2 * n_channels > BYTE_BUDGET.bit_length():
         raise SizeGuardError(
             f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of order "
@@ -419,7 +429,7 @@ def _relative_orders(orders: OrderSet) -> tuple[np.ndarray, np.ndarray]:
     the (M, M) second array is the row of that pair.  Each row is keyed by
     its digits in base N, which fit an int64 for every N the byte guard
     admits (N <= 14); past N = 15 ``np.ravel_multi_index`` raises rather
-    than wraps.
+    than wraps.  Its one caller, ``_switch_map``, runs the guard first.
     """
     import numpy as np
     sigma = np.array(orders.orders)
@@ -432,16 +442,17 @@ def _relative_orders(orders: OrderSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cyclic_pairs(orders: OrderSet) -> np.ndarray:
-    """(M, M) mask of the order pairs whose relative permutation is a rotation.
+    """(M, M) mask of the order pairs in which one order is a cyclic shift of the other.
 
-    Pair (i, j) is set when pi(p) - pi(0) = p (mod N) for its pi from
-    ``_relative_orders``, i.e. when one order is a cyclic shift of the other.
-    Like ``_relative_orders`` it takes N <= 14, every N the byte guard admits.
+    Each order is rotated to start at channel 0, and the distinct rotations
+    are numbered in one pass; two orders are cyclic shifts of each other
+    exactly when their rotations match.  It holds one rotation per order, so
+    it takes any N and needs no byte guard.
     """
     import numpy as np
-    perms, which = _relative_orders(orders)
-    n = orders.n_channels
-    return ((perms - perms[:, :1]) % n == np.arange(n)).all(axis=1)[which]
+    seen: dict[Permutation, int] = {}
+    ids = [seen.setdefault(o[o.index(0):] + o[:o.index(0)], len(seen)) for o in orders.orders]
+    return np.equal.outer(ids, ids)
 
 
 def _contract(twirl: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -547,20 +558,31 @@ def _haar_states(count: int, dim: int, rng: NormalSource | np.random.Generator) 
     return v
 
 
+def _sampler_dim(dim: int) -> int:
+    """``dim`` as an int, or DomainError if it is not an integer of at least 1."""
+    dim = _integer("dimension", dim)
+    if dim < 1:
+        raise DomainError(f"dimension must be at least 1, got {dim}")
+    return dim
+
+
 def haar_random_state(dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
     """Haar-random pure state vector from complex Gaussian entries, as ``_haar_states`` draws it.
 
-    ``rng`` is any object with ``standard_normal(size)``.
+    ``rng`` is any object with ``standard_normal(size)``.  A ``dim`` that is
+    not an integer of at least 1 raises DomainError.
     """
-    return _haar_states(1, dim, rng)[0]
+    return _haar_states(1, _sampler_dim(dim), rng)[0]
 
 
 def random_density_matrix(dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
     """Full-rank random density matrix A A^dagger / Tr(A A^dagger).
 
-    ``rng`` is any object with ``standard_normal(size)``.
+    ``rng`` is any object with ``standard_normal(size)``.  A ``dim`` that is
+    not an integer of at least 1 raises DomainError.
     """
     import numpy as np
+    dim = _sampler_dim(dim)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real

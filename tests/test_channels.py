@@ -1,5 +1,6 @@
 """Tests for the depolarizing channel and its unitary operator basis."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,22 @@ class TestWeylBasis:
             assert np.abs(u.conj().T @ u - eye).max() < 1e-12
         gram = np.einsum("aij,bij->ab", basis.ops.conj(), basis.ops)
         assert np.abs(gram - d * np.eye(d * d)).max() < 1e-11
+
+    @pytest.mark.parametrize("d", range(MIN_DIM, MAX_DIM + 1))
+    def test_elements_are_shift_times_clock(self, d):
+        # element a d + b is X^a Z^b: the shift's a-th power times the
+        # diagonal phase ladder w^(b k)
+        k = np.arange(d)
+        omega = np.exp(2j * np.pi / d)
+        ops = weyl_basis(d).ops
+        for a, b in itertools.product(range(d), repeat=2):
+            expected = np.roll(np.eye(d), a, axis=0) @ np.diag(omega ** (b * k))
+            assert np.abs(ops[a * d + b] - expected).max() < 1e-14
+            # and the literal entries w^(b k) at (k + a mod d, k), bit for bit
+            literal = np.zeros((d, d), dtype=complex)
+            for col in range(d):
+                literal[(col + a) % d, col] = omega ** (b * col)
+            assert np.array_equal(ops[a * d + b], literal)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 16])
     def test_first_element_is_identity(self, d):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -190,6 +191,39 @@ class TestTable:
 
 
 class TestSweep:
+    @pytest.mark.parametrize(
+        ("argv", "digest"),
+        [
+            (
+                ["sweep", "--dims", "2..16", "--orders", "1..2000"],
+                "b913f3d5abdcab3cbd52fe08dea69a52f3ebb5c225a213caf5c256c7a2a0c8dc",
+            ),
+            (
+                ["table", "--dims", "2..16", "--orders", "1..2000"],
+                "7ca2805dbc1f957e9c6f488a77c5bf9230b712ac074349f5c369c62829072d85",
+            ),
+            (
+                ["sweep", "--dims", "2..16", "--orders", "1..2000", "--format", "json"],
+                "3691cb7a9f691f97789faf19ee2b988c4dddc0528be74e845312913eda61dcb1",
+            ),
+            (
+                ["sweep", "--dims", "2..64", "--orders", "1..300,999999"],
+                "35a1378f2de1f81c3be5ff167b9993a8db4c65eb9861e4a2184eb32afb6121b7",
+            ),
+            (
+                ["sweep", "--dims", "2..64", "--orders", "1..300,999999", "--format", "json"],
+                "31a77616fd1cc88092d02b794897895848f76d8f6d9a95edb590aadd4e526ff0",
+            ),
+        ],
+        ids=["csv", "text", "json", "wide-csv", "wide-json"],
+    )
+    def test_document_digests(self, capsys, argv, digest):
+        # the grid documents byte for byte, as the console script's digests
+        # pin them; the wide grids reach every dimension and the far end of
+        # the order range, where cancellation moves the last digits most
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_csv_file_output(self, tmp_path):
         out = tmp_path / "grid.csv"
         code = main(
@@ -496,6 +530,10 @@ class TestVerify:
             *random_order_subsets(),
             OrderSet(orders=tuple(itertools.permutations(range(6)))[::2]),
             OrderSet(orders=((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 2, 3), (3, 1, 0, 2), (0, 2, 1, 3))),
+            # the identity, its one-step rotation and its reversal, past the
+            # int64 range of _relative_orders' base-N keys
+            *(OrderSet(orders=(tuple(range(n)), (*range(1, n), 0), tuple(range(n))[::-1]))
+              for n in (16, 20)),
         ],
         ids=[
             *(f"all-{n}" for n in range(2, 6)),
@@ -503,6 +541,8 @@ class TestVerify:
             *(f"random-{k}" for k in range(120)),
             "every-second-6",
             "mixed",
+            "wide-16",
+            "wide-20",
         ],
     )
     def test_cyclic_mask_matches_pairwise_relation(self, orders):
@@ -764,9 +804,14 @@ class TestVerify:
     def test_size_guard_before_building(self, capsys, monkeypatch, argv):
         self._size_guard(capsys, monkeypatch, argv)
 
-    def test_case_past_the_pair_keys_meets_the_guard_first(self):
-        # cyclic_pairs keys each relative permutation by its base-N digits,
-        # which pass an int64 at N = 16; the byte guard refuses that case first
+    def test_case_past_the_relative_keys_meets_the_map_guard_first(self, monkeypatch):
+        # _relative_orders keys each relative permutation by its base-N
+        # digits, which pass an int64 at N = 16; _switch_map's byte guard
+        # refuses that case before it runs
+        def never(*args, **kwargs):
+            raise AssertionError("the relative permutations were built")
+
+        monkeypatch.setattr("switchcap.switch._relative_orders", never)
         with pytest.raises(SizeGuardError, match="N=16"):
             run_verify_case(cyclic_orders(16), "cyclic", weyl_basis(2), 42)
 

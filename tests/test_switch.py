@@ -75,12 +75,25 @@ def naive_cross_block(order_a, order_b, basis, rho):
         lambda: NormalSource(1.5),
         lambda: holevo_oracle(cyclic_orders(2), weyl_basis(2), n_samples=3.5),
         lambda: check_size_guard(2, 2, 2.9),
+        lambda: haar_random_state(2.0, NormalSource(0)),
+        lambda: random_density_matrix(2.0, NormalSource(0)),
+        lambda: haar_random_state(-1, NormalSource(0)),
+        lambda: random_density_matrix(0, NormalSource(0)),
+        lambda: partial_trace(np.eye(4) / 4, 2.0, 2, "A"),
+        lambda: partial_trace(np.eye(4) / 4, -2, -2, "A"),
+        lambda: SwitchOutput(2, 1, np.eye(2) / 2).block(1.5, 0),
+        lambda: cyclically_related(1, 2),
+        lambda: check_size_guard(2, 0, 2),
+        lambda: check_size_guard(2, -3, 2),
     ],
     ids=[
         "no-orders", "one-channel", "not-a-permutation", "duplicate", "no-kraus", "keep",
         "complex-amplitude", "string-amplitudes", "nested-list-basis", "nested-list-output",
         "int-orders", "float-uniform", "float-cyclic", "float-all", "float-weyl",
-        "float-seed", "float-samples", "float-guard-dim",
+        "float-seed", "float-samples", "float-guard-dim", "float-haar-dim", "float-density-dim",
+        "negative-haar-dim", "zero-density-dim", "float-partial-trace-dim",
+        "negative-partial-trace-dims", "float-block-index", "int-orders-related",
+        "zero-guard-m", "negative-guard-m",
     ],
 )
 def test_argument_errors_are_switchcap_errors(call):
@@ -493,12 +506,15 @@ class TestBuildSwitchKraus:
             check_size_guard(14, 10**4, np.int64(3))
 
     @pytest.mark.parametrize(
-        ("n_channels", "dim"), [(1, 2), (0, 2), (-3, 2), (2, 1), (2, 0), (14, -2)]
+        ("n_channels", "m", "dim"),
+        [(1, 2, 2), (0, 2, 2), (-3, 2, 2), (2, 2, 1), (2, 2, 0), (14, 2, -2), (2, 0, 2), (2, -3, 2)],
+        ids=["1-2", "0-2", "-3-2", "2-1", "2-0", "14--2", "m-0", "m--3"],
     )
-    def test_size_guard_domain(self, n_channels, dim):
-        # fewer than two channels or a dimension below 2 is refused before any count
-        with pytest.raises(DomainError, match="N >= 2 and d >= 2"):
-            check_size_guard(n_channels, 2, dim)
+    def test_size_guard_domain(self, n_channels, m, dim):
+        # fewer than two channels, no order or a dimension below 2 is refused
+        # before any count
+        with pytest.raises(DomainError, match="N >= 2, M >= 1 and d >= 2"):
+            check_size_guard(n_channels, m, dim)
 
     @pytest.mark.parametrize(
         ("m", "dim", "bits"),
