@@ -206,17 +206,6 @@ def analytic_output_state(
     return np.kron(weights, np.eye(d) / d) + np.kron(np.outer(c, c) - weights, rho / (d * d))
 
 
-def _log_det_psd(matrix: np.ndarray) -> float:
-    """log of the determinant of a positive definite Hermitian matrix."""
-    import numpy as np
-    values = hermitian_spectrum(matrix)
-    if float(values[-1]) <= 0.0:
-        raise InvalidStateError(
-            f"matrix is not positive definite (smallest eigenvalue {values[-1]:.3e})"
-        )
-    return float(np.log(values).sum())
-
-
 def det_factorization_residual(
     m_orders: int,
     basis_dim: int,
@@ -227,10 +216,15 @@ def det_factorization_residual(
 
     The determinant of the joint output state factors into the determinant
     of (I/d + (M-1) rho/d^2)/M times the determinant of (I/d - rho/d^2)/M
-    repeated M-1 times.  Both sides are evaluated in log space (sums of log
-    eigenvalues) because the full determinant underflows fixed precision
-    once M*d grows past ~50.  The factorization holds for uniform amplitudes
-    only, so any other amplitude vector is rejected.
+    repeated M-1 times.  The spectra of those two factors are the plus and
+    minus families of ``output_spectrum``, so the factored side is read from
+    it and the full side from the eigenvalues of ``analytic_output_state``.
+    Both sides are evaluated in log space (sums of log eigenvalues) because
+    the full determinant underflows fixed precision once M*d grows past ~50.
+    The factorization holds for uniform amplitudes only, so any other
+    amplitude vector is rejected; rho must be a state, or
+    ``output_spectrum`` raises InvalidSpectrumError.  Every eigenvalue of
+    the closed-form state is then at least (d-1)/(M d^2) > 0.
     """
     import numpy as np
     _check_point(m_orders, basis_dim)
@@ -249,12 +243,6 @@ def det_factorization_residual(
             f"state has shape {rho.shape}, expected ({basis_dim}, {basis_dim})"
         )
 
-    log_full = _log_det_psd(analytic_output_state(rho, m_orders, amplitudes))
-    d = basis_dim
-    eye = np.eye(d, dtype=complex)
-    plus_factor = (eye / d + (m_orders - 1) * rho / (d * d)) / m_orders
-    minus_factor = (eye / d - rho / (d * d)) / m_orders
-    log_factored = _log_det_psd(plus_factor)
-    if m_orders > 1:
-        log_factored += (m_orders - 1) * _log_det_psd(minus_factor)
-    return abs(math.expm1(log_factored - log_full))
+    log_factored = np.log(output_spectrum(m_orders, basis_dim, hermitian_spectrum(rho))).sum()
+    log_full = np.log(hermitian_spectrum(analytic_output_state(rho, m_orders, amplitudes))).sum()
+    return abs(math.expm1(float(log_factored - log_full)))

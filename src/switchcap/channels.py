@@ -1,9 +1,10 @@
-"""Completely depolarizing channels built from an orthogonal unitary basis.
+"""Completely depolarizing channels built from an orthogonal operator basis.
 
 The channel is realized by Kraus summation over the d^2 Heisenberg-Weyl
-(clock-and-shift) operators.  Any orthogonal unitary operator basis would do;
-the Weyl operators are deterministic and dimension-generic, which keeps
-cross-term behavior reproducible in regression tests.
+(clock-and-shift) operators.  Any d^2 operators whose flattened Gram matrix
+is d I would do, unitary or not: the Kraus operators ops/d of every such set
+decompose the same channel, and the switch depends on the channel alone.
+The Weyl operators are deterministic and dimension-generic.
 
 ``UnitaryBasis`` is a slotted record class (``switchcap._record``): its
 fields are read-only, and it compares and hashes by identity.  No module
@@ -30,10 +31,13 @@ MAX_DIM = 16
 
 
 class UnitaryBasis(Record):
-    """An orthogonal basis of d^2 unitary operators on a d-level system.
+    """d^2 operators on a d-level system, orthogonal under the trace inner product.
 
     ``ops`` has shape (d^2, d, d).  Orthogonality means
-    Tr(U_i^dagger U_j) = d * delta_ij.  Equality and hashing are by
+    Tr(U_i^dagger U_j) = d * delta_ij; then the Kraus operators ops/d
+    decompose the completely depolarizing channel.  Nothing checks either
+    property, and nothing needs the operators to be unitary: only the shape
+    is validated.  Equality and hashing are by
     identity, as an array has no single truth value.  The basis holds its
     own read-only copy of ``ops``, made from any array-like, so no alias of
     the caller's array can change it, and its fields cannot be reassigned.

@@ -525,7 +525,8 @@ class NormalSource:
     modules.  The same seed gives the same draws, and successive calls
     continue one stream.  A negative seed raises DomainError:
     ``random.Random`` seeds from the absolute value, so -s would repeat the
-    draws of s.
+    draws of s.  A negative dimension in ``size`` raises DomainError before
+    any draw, where numpy's ``Generator`` raises ValueError.
     """
 
     def __init__(self, seed: int) -> None:
@@ -536,7 +537,10 @@ class NormalSource:
 
     def standard_normal(self, size: int | tuple[int, ...]) -> np.ndarray:
         import numpy as np
-        count = math.prod(np.atleast_1d(size))
+        dims = np.atleast_1d(size)
+        if (dims < 0).any():
+            raise DomainError(f"negative dimensions are not allowed, got size {size}")
+        count = math.prod(dims)
         draws = itertools.starmap(self._gauss, itertools.repeat((0.0, 1.0), count))
         return np.fromiter(draws, dtype=float, count=count).reshape(size)
 
@@ -602,10 +606,14 @@ def holevo_oracle(
     output entropy over the sample set, using uniform control amplitudes.
     The sample set always contains the d computational basis states, then
     ``n_samples - d`` Haar-random pure states drawn from ``NormalSource(seed)``.
-    Under the Weyl basis every output block is a multiple of rho or of
-    Tr(rho) I for any order set, so every pure input has the same output
-    entropy and the value is exact, whatever the sample count and seed;
-    with another basis, adding samples can only lower the reported minimum.
+    The switch map reads ``basis`` only through its twirl, the channel's
+    Choi matrix, so every Kraus decomposition of the completely depolarizing
+    channel (any d^2 operators whose flattened Gram matrix is d I, unitary
+    or not) gives the same map.  Every output block is then a multiple of
+    rho or of Tr(rho) I for any order set, so every pure input has the same
+    output entropy and the value is exact, whatever the sample count and
+    seed.  Samples matter only for an ``ops`` array that is not such a
+    decomposition, where adding them can only lower the reported minimum.
     A negative or non-integer seed, or a sample count that is not an
     integer in [1, MAX_ORACLE_SAMPLES], raises DomainError, and a count
     that ``check_size_guard`` refuses SizeGuardError, before any state is

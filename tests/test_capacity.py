@@ -10,7 +10,6 @@ from switchcap.capacity import (
     DIM_RANGE,
     CapacityReport,
     _check_point,
-    _log_det_psd,
     analytic_output_state,
     asymptotic_limit,
     control_entropy,
@@ -455,9 +454,12 @@ class TestDeterminantFactorization:
         with pytest.raises(DomainError, match="expected \\(2, 2\\)"):
             det_factorization_residual(2, 2, np.eye(3) / 3, ControlAmplitudes.uniform(2))
 
-    def test_log_det_rejects_a_singular_matrix(self):
-        with pytest.raises(InvalidStateError, match="not positive definite"):
-            _log_det_psd(np.diag([1.0, 0.0]))
+    @pytest.mark.parametrize(
+        "rho", [np.eye(2), np.diag([1.5, -0.5])], ids=["trace-two", "negative-eigenvalue"]
+    )
+    def test_rejects_a_hermitian_matrix_that_is_not_a_state(self, rho):
+        with pytest.raises(InvalidSpectrumError):
+            det_factorization_residual(2, 2, rho, ControlAmplitudes.uniform(2))
 
     def test_rejects_oversized_joint_dimension(self):
         rho = np.eye(2) / 2

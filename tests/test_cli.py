@@ -218,9 +218,11 @@ class TestSweep:
         ids=["csv", "text", "json", "wide-csv", "wide-json"],
     )
     def test_document_digests(self, capsys, argv, digest):
-        # the grid documents byte for byte, as the console script's digests
-        # pin them; the wide grids reach every dimension and the far end of
-        # the order range, where cancellation moves the last digits most
+        # the grid documents byte for byte; this test is the one owner of
+        # these digests.  The 2..16 x 1..2000 grids cross more than a hundred
+        # of the writer's 256-row chunks; the wide grids reach every dimension
+        # and the far end of the order range, where cancellation moves the
+        # last digits most
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

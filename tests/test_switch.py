@@ -25,6 +25,7 @@ from switchcap.switch import (
     NormalSource,
     OrderSet,
     SwitchOutput,
+    _relative_orders,
     _switch_map,
     all_orders,
     apply_switch,
@@ -85,6 +86,9 @@ def naive_cross_block(order_a, order_b, basis, rho):
         lambda: cyclically_related(1, 2),
         lambda: check_size_guard(2, 0, 2),
         lambda: check_size_guard(2, -3, 2),
+        lambda: NormalSource(0).standard_normal(-1),
+        lambda: NormalSource(0).standard_normal((2, -1)),
+        lambda: NormalSource(0).standard_normal((-2, -3)),
     ],
     ids=[
         "no-orders", "one-channel", "not-a-permutation", "duplicate", "no-kraus", "keep",
@@ -93,7 +97,8 @@ def naive_cross_block(order_a, order_b, basis, rho):
         "float-seed", "float-samples", "float-guard-dim", "float-haar-dim", "float-density-dim",
         "negative-haar-dim", "zero-density-dim", "float-partial-trace-dim",
         "negative-partial-trace-dims", "float-block-index", "int-orders-related",
-        "zero-guard-m", "negative-guard-m",
+        "zero-guard-m", "negative-guard-m", "negative-draw-count", "negative-draw-dim",
+        "negative-draw-dims",
     ],
 )
 def test_argument_errors_are_switchcap_errors(call):
@@ -526,6 +531,11 @@ class TestBuildSwitchKraus:
         with pytest.raises(SizeGuardError, match=f"needs ~2\\^{bits} bytes"):
             check_size_guard(2, m, dim)
 
+    def test_size_guard_admits_every_order_of_six_channels(self):
+        # --mode explicit is bounded by bytes alone: all 720 orders of N = 6
+        # at d = 2, bound by the family's 16 * 2^12 * 4 * 721 bytes
+        assert check_size_guard(6, 720, 2) == 189_005_824
+
     def test_size_guard_message_in_the_float_range(self):
         # the verify --channels 2 --dim 16 message, byte for byte
         with pytest.raises(SizeGuardError) as caught:
@@ -803,6 +813,97 @@ class TestSwitchMapAgainstTupleGram:
         assert peak < family / 4
 
 
+def haar_rotated_basis(dim, seed):
+    """ops'_k = sum_u V_ku U_u over the Weyl operators, V a seeded Haar d^2 x d^2 unitary."""
+    rng = np.random.default_rng(seed)
+    shape = (dim * dim, dim * dim)
+    q, r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    v = q * (np.diag(r) / np.abs(np.diag(r)))
+    return UnitaryBasis(dim=dim, ops=np.einsum("ku,uab->kab", v, weyl_basis(dim).ops))
+
+
+def rank_one_basis(dim):
+    """The non-normal operators sqrt(d) |a><b|, a and b in {0..d-1}."""
+    return UnitaryBasis(dim=dim, ops=math.sqrt(dim) * np.eye(dim * dim).reshape(-1, dim, dim))
+
+
+def pauli_pauli_basis():
+    """The 16 products P_i (x) P_j of the Pauli matrices I, X, Y, Z, at d = 4."""
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    return UnitaryBasis(dim=4, ops=np.einsum("iac,jbd->ijabcd", paulis, paulis).reshape(16, 4, 4))
+
+
+KRAUS_LISTS = {
+    "haar-rotated": lambda d: haar_rotated_basis(d, 19),
+    "rank-one": rank_one_basis,
+    "pauli-pauli": lambda d: pauli_pauli_basis(),
+}
+
+DECOMPOSITION_CASES = [
+    pytest.param(orders, d, chi, kraus, id=f"{label}-d{d}-{kraus}")
+    for label, orders, d, chi in [
+        ("cyclic3", cyclic_orders(3), 2, 0.081704165946),
+        ("all3", all_orders(3), 3, 0.033960762070),
+        ("all4", all_orders(4), 2, 0.153274518153),
+        ("cyclic3", cyclic_orders(3), 4, 0.015712127384),
+    ]
+    for kraus in KRAUS_LISTS
+    if kraus != "pauli-pauli" or d == 4
+]
+
+
+class TestKrausDecompositionInvariance:
+    """The switch depends on the channel, not on the Kraus list that decomposes it."""
+
+    @staticmethod
+    def quantities(orders, basis):
+        d, m = basis.dim, orders.m_orders
+        rho = random_density_matrix(d, np.random.default_rng(17))
+        first = OrderSet(orders=orders.orders[:1])
+        return (
+            _switch_map(orders, basis).blocks,
+            apply_switch(orders, basis, ControlAmplitudes.uniform(m), rho).state,
+            check_completeness(build_switch_kraus(first, basis)),
+            holevo_oracle(orders, basis, n_samples=8, seed=7),
+        )
+
+    @pytest.mark.parametrize(("orders", "d", "chi", "kraus"), DECOMPOSITION_CASES)
+    def test_every_quantity_matches_the_weyl_list(self, orders, d, chi, kraus):
+        basis = KRAUS_LISTS[kraus](d)
+        # d^2 operators with Gram d I: Kraus operators ops/d of the same channel
+        flat = basis.ops.reshape(d * d, d * d)
+        assert np.abs(flat @ flat.conj().T - d * np.eye(d * d)).max() < 1e-13
+        weyl = self.quantities(orders, weyl_basis(d))
+        other = self.quantities(orders, basis)
+        assert np.abs(other[0] - weyl[0]).max() < 1e-14
+        assert np.abs(other[1] - weyl[1]).max() < 1e-14
+        assert abs(other[2] - weyl[2]) < 1e-14
+        assert abs(other[3] - weyl[3]) < 1e-14
+        assert weyl[3] == pytest.approx(chi, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        *(all_orders(n) for n in range(2, 6)),
+        *(cyclic_orders(n) for n in range(2, 10)),
+        OrderSet(orders=tuple(itertools.permutations(range(6)))[::2]),
+    ],
+    ids=[*(f"all-{n}" for n in range(2, 6)), *(f"cyclic-{n}" for n in range(2, 10)), "every-second-6"],
+)
+def test_relative_orders_contract(orders):
+    perms, which = _relative_orders(orders)
+    rows = [tuple(row) for row in perms.tolist()]
+    # distinct rows in lexicographic order
+    assert rows == sorted(set(rows))
+    n = orders.n_channels
+    assert all(rows[which[i, i]] == tuple(range(n)) for i in range(orders.m_orders))
+    # row which[i, j] sends position p of order i to that channel's position in order j
+    for i, a in enumerate(orders.orders):
+        for j, b in enumerate(orders.orders):
+            assert rows[which[i, j]] == tuple(b.index(channel) for channel in a)
+
+
 class TestSwitchMap:
     def test_map_is_read_only(self):
         built = _switch_map(cyclic_orders(3), weyl_basis(2))
@@ -978,6 +1079,26 @@ class TestCrossTerm:
                 if i != j:
                     assert (miss[i, j] > 1e-3) != cyclically_related(a, b)
                     assert miss[i, j] > 1e-3 or miss[i, j] < 1e-12
+
+    def test_four_channel_unrelated_pairs_split_between_two_blocks(self):
+        # over all 24 orders of N = 4 at d = 2, the 480 off-diagonal pairs
+        # that are not cyclic shifts give I/d^3 or rho/d^4, never rho/d^2
+        orders, d = all_orders(4), 2
+        m = orders.m_orders
+        rho = random_density_matrix(d, np.random.default_rng(16))
+        state = apply_switch(orders, weyl_basis(d), ControlAmplitudes.uniform(m), rho).state
+        blocks = state.reshape(m, d, m, d).transpose(0, 2, 1, 3) * m
+        counts = {"identity": 0, "rho": 0}
+        for i, a in enumerate(orders.orders):
+            for j, b in enumerate(orders.orders):
+                if i == j or cyclically_related(a, b):
+                    continue
+                if np.abs(blocks[i, j] - np.eye(d) / d**3).max() < 1e-13:
+                    counts["identity"] += 1
+                else:
+                    assert np.abs(blocks[i, j] - rho / d**4).max() < 1e-13
+                    counts["rho"] += 1
+        assert counts == {"identity": 288, "rho": 192}
 
 
 EXPLICIT_N4 = OrderSet(orders=((0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1)))
