@@ -19,9 +19,11 @@ plus (d^2 - 1) / (M d^2) with multiplicity M - 1.
 ``holevo`` owns the entropies of these two spectra, S_min at a pure input
 and S(control): ``s_min`` and ``control_entropy`` return its fields.
 
-NumPy is imported inside the four functions that build arrays, not at
+NumPy is imported inside the five functions that build arrays, not at
 module level: ``holevo`` and ``asymptotic_limit`` need ``math`` alone, so
-a caller of the closed forms never pays numpy's import.
+a caller of the closed forms never pays numpy's import.  ``_holevo_block``
+evaluates ``holevo`` over an array of orders to the same bits, for grids
+large enough to repay that import.
 """
 
 from __future__ import annotations
@@ -121,12 +123,33 @@ def control_entropy(m_orders: int, dim: int) -> float:
     return holevo(m_orders, dim).s_control
 
 
+def _entropies(m, d, log2):
+    """S_min and S(control) in bits at M >= 2 orders and dimension d.
+
+    The one place these closed forms are written.  ``m`` is an int for
+    ``holevo`` or an int64 array for ``_holevo_block``; ``log2`` takes every
+    logarithm, so both routes round the same operations in the same order.
+    """
+    md2 = m * d * d
+    top = (d + m - 1) / md2
+    low = (d - 1) / md2
+    smin = -(
+        top * log2(top)
+        + (m - 1) * (d - 1) / md2 * log2(low)
+        + (d - 1) / d * log2(1.0 / (m * d))
+    )
+    top = (m - 1 + d * d) / md2
+    rest = (d * d - 1) / md2
+    scontrol = -(top * log2(top) + (m - 1) * rest * log2(rest))
+    return smin, scontrol
+
+
 def holevo(m_orders: int, dim: int) -> CapacityReport:
     """Holevo quantity log2(d) + S(control) - S_min for M superposed orders.
 
-    This is the one place the closed forms of S_min and S(control) are
-    written; ``s_min`` and ``control_entropy`` read them from the report.
-    A single order (M=1) transmits nothing: chi is exactly 0.
+    S_min and S(control) come from ``_entropies``, taking logarithms with
+    ``math.log2``; ``s_min`` and ``control_entropy`` read them from the
+    report.  A single order (M=1) transmits nothing: chi is exactly 0.
 
     M and d must be integers (see ``_check_point``).  A plain ``int`` point
     inside the range passes one inline test; anything else, NumPy integers
@@ -139,24 +162,36 @@ def holevo(m_orders: int, dim: int) -> CapacityReport:
         and DIM_RANGE[0] <= dim <= DIM_RANGE[1]
     ):
         _check_point(m_orders, dim)
-    log2 = math.log2
-    m, d = m_orders, dim
-    if m == 1:
-        smin, scontrol = log2(d), 0.0
+    if m_orders == 1:
+        smin, scontrol = math.log2(dim), 0.0
     else:
-        md2 = m * d * d
-        top = (d + m - 1) / md2
-        low = (d - 1) / md2
-        smin = -(
-            top * log2(top)
-            + (m - 1) * (d - 1) / md2 * log2(low)
-            + (d - 1) / d * log2(1.0 / (m * d))
-        )
-        top = (m - 1 + d * d) / md2
-        rest = (d * d - 1) / md2
-        scontrol = -(top * log2(top) + (m - 1) * rest * log2(rest))
-    chi = log2(dim) + scontrol - smin
+        smin, scontrol = _entropies(m_orders, dim, math.log2)
+    chi = math.log2(dim) + scontrol - smin
     return _new_tuple(CapacityReport, (m_orders, dim, smin, scontrol, chi))
+
+
+def _holevo_block(orders: list[int], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``holevo``'s (s_min, s_control, chi) at each M of ``orders`` and one d.
+
+    The same floats as one ``holevo`` call per point, bit for bit: NumPy
+    does ``_entropies``' arithmetic elementwise in the same order, and each
+    logarithm goes through ``math.log2`` one value at a time, since
+    ``np.log2`` can differ from libm in the last bit.  M = 1 takes
+    ``holevo``'s exact branch.  The points are not checked: the caller
+    validates the grid.
+    """
+    import numpy as np
+
+    def log2(x):
+        return np.fromiter(map(math.log2, x.tolist()), float, count=len(x))
+
+    m = np.array(orders, dtype=np.int64)
+    smin, scontrol = _entropies(m, dim, log2)
+    single = m == 1
+    smin[single] = math.log2(dim)
+    scontrol[single] = 0.0
+    chi = math.log2(dim) + scontrol - smin
+    return smin, scontrol, chi
 
 
 def asymptotic_limit(dim: int) -> float:

@@ -7,7 +7,8 @@ Subcommands:
   ``cmd_grid``: every format is computed and written in chunks of 256
   rows, so memory does not grow with the grid, an interrupted sweep leaves
   the whole chunks written so far in ``--out``, and every output ends with
-  a newline.
+  a newline.  A grid of at least ``_NUMPY_GRID_POINTS`` distinct points is
+  computed ``_GRID_BLOCK`` orders at a time with numpy, to the same bytes.
 * ``verify`` - compare the brute-force switch output and sampled rate
   against the closed forms, emitting a machine-readable report.
 * ``limit``  - print the large-M saturation value with a convergence column.
@@ -21,10 +22,11 @@ Twister (``random.Random``) behind ``switch.NormalSource``.  Output is
 byte-stable for identical flags and seed, except each ``verify`` row's
 ``wall_time_s``.
 
-NumPy is imported only inside the ``verify`` functions that build arrays,
-here and in the modules they call, so ``table``, ``sweep`` and ``limit``
-run without loading it: numpy's import is about half of a closed-form
-request's whole-process time.
+NumPy is imported only inside the functions that build arrays, here and in
+the modules they call: ``verify`` loads it, and ``table`` and ``sweep`` do
+only for a grid large enough to repay its import (``_NUMPY_GRID_POINTS``),
+so ``limit`` and every smaller grid run without it.  numpy's import is
+about half of a small closed-form request's whole-process time.
 """
 
 from __future__ import annotations
@@ -41,7 +43,13 @@ from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .capacity import DIM_RANGE, CapacityReport, analytic_output_state, asymptotic_limit, holevo
+from .capacity import (
+    DIM_RANGE,
+    _holevo_block,
+    analytic_output_state,
+    asymptotic_limit,
+    holevo,
+)
 from .channels import UnitaryBasis, check_completeness, weyl_basis
 from .errors import (
     DomainError,
@@ -89,10 +97,22 @@ FORMATS = {
     "csv": (CSV_HEADER + "\n", "%d,%d,%.12g,%.12g,%.12g\n", "", ""),
     "json": ('{"rows": [', JSON_ROW, ", ", '], "meta": %(meta)s}\n'),
 }
-# The grid is computed, formatted and written this many rows at a time, and
-# each report's fields are taken in the templates' column order.
+# The grid is formatted and written this many rows at a time (and, below
+# _NUMPY_GRID_POINTS, computed so too), and each report's fields are taken in
+# the templates' column order.
 _GRID_CHUNK = 256
 _ROW_FIELDS = operator.itemgetter(0, 1, 4, 2, 3)
+# A grid of at least this many distinct points is computed _GRID_BLOCK orders
+# of one dimension at a time by capacity._holevo_block, which imports numpy;
+# a smaller grid makes one holevo call per point and never loads numpy.  The
+# value is the whole-process break-even on a 2-vCPU x86-64 host (Python
+# 3.11, numpy 2.4.6): numpy's import, 124-171 ms there, against about 1 us
+# saved per point.  Median `switchcap sweep --dims 2..16` CSV times, block
+# route against per-point over 10 alternating pairs: 385/265 ms at 50 000
+# points, 538/478 ms at 100 000, 796/810 ms at 200 000, 1073/1239 ms at
+# 300 000.
+_NUMPY_GRID_POINTS = 200_000
+_GRID_BLOCK = 4096
 
 
 def _validate_grid(dims: tuple[int, ...], orders: tuple[int, ...]) -> None:
@@ -140,8 +160,11 @@ def parse_permutations(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _grid_lines(fmt: str, rows: Iterable[CapacityReport], seed: int) -> Iterator[str]:
-    """Stream one grid document, _GRID_CHUNK rows per string as they are computed."""
+def _grid_lines(fmt: str, rows: Iterable[tuple], seed: int) -> Iterator[str]:
+    """Stream one grid document, _GRID_CHUNK rows per string as they are computed.
+
+    Each row is a CapacityReport, or a plain tuple in its field order.
+    """
     head, row, between, tail = FORMATS[fmt]
     yield head
     rows = iter(rows)
@@ -166,19 +189,34 @@ def _check_seed(seed: int) -> None:
         raise DomainError(f"--seed must be nonnegative, got {seed}")
 
 
+def _block_reports(dims: list[int], orders: list[int]) -> Iterator[tuple]:
+    """Each point's (m, d, s_min, s_control, chi), _GRID_BLOCK orders at a time."""
+    blocks = [orders[i : i + _GRID_BLOCK] for i in range(0, len(orders), _GRID_BLOCK)]
+    return itertools.chain.from_iterable(
+        zip(block, itertools.repeat(d), *(a.tolist() for a in _holevo_block(block, d)))
+        for d in dims
+        for block in blocks
+    )
+
+
 def cmd_grid(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     dims = parse_int_list(args.dims)
     orders = parse_int_list(args.orders)
     _validate_grid(dims, orders)
-    # Distinct points, sorted by dimension and then by order count: one holevo
-    # call per point, mapped over each dimension's orders in C.  holevo is read
-    # from this module's globals as each dimension starts, so a wrapper bound
-    # to cli.holevo sees every call.
+    # Distinct points, sorted by dimension and then by order count.  A small
+    # grid makes one holevo call per point, mapped over each dimension's
+    # orders in C; holevo is read from this module's globals as each
+    # dimension starts, so a wrapper bound to cli.holevo sees every call.  A
+    # large grid goes through _holevo_block instead, which gives the same
+    # floats and makes no holevo call.
     dims, orders = sorted(set(dims)), sorted(set(orders))
-    reports = itertools.chain.from_iterable(
-        map(holevo, orders, itertools.repeat(d, len(orders))) for d in dims
-    )
+    if len(dims) * len(orders) < _NUMPY_GRID_POINTS:
+        reports = itertools.chain.from_iterable(
+            map(holevo, orders, itertools.repeat(d, len(orders))) for d in dims
+        )
+    else:
+        reports = _block_reports(dims, orders)
     lines = _grid_lines(args.format, reports, args.seed)
     out = args.out
     target = contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8")

@@ -10,6 +10,7 @@ from switchcap.capacity import (
     DIM_RANGE,
     CapacityReport,
     _check_point,
+    _holevo_block,
     analytic_output_state,
     asymptotic_limit,
     control_entropy,
@@ -324,6 +325,29 @@ class TestHolevo:
             m = int(rng.integers(1, 51))
             entropy = von_neumann_entropy(output_spectrum(m, d, random_mixed_spectrum(d, rng)))
             assert entropy >= s_min(m, d) - 1e-12
+
+
+class TestHolevoBlock:
+    # The point sets of the five TestSweep::test_document_digests grids
+    # (tests/test_cli.py), whatever route cmd_grid takes for them: the three
+    # 2..16 x 1..2000 documents, and the two wide ones, which reach M = 1,
+    # M = 999 999 and d = 64.  Floats are compared by their bytes, so an
+    # S(control) of -0.0 at M = 1, which the shared formula gives there,
+    # would fail.
+    @pytest.mark.parametrize(
+        ("dims", "orders"),
+        [
+            (range(2, 17), list(range(1, 2001))),
+            (range(2, 65), [*range(1, 301), 999999]),
+        ],
+        ids=["csv-text-json", "wide-csv-wide-json"],
+    )
+    def test_bits_match_holevo_on_the_digest_grids(self, dims, orders):
+        for d in dims:
+            smin, scontrol, chi = _holevo_block(orders, d)
+            reports = [holevo(m, d) for m in orders]
+            expected = np.array([(r.chi, r.s_min, r.s_control) for r in reports])
+            assert np.column_stack([chi, smin, scontrol]).tobytes() == expected.tobytes(), d
 
 
 class TestAsymptoticLimit:

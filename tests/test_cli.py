@@ -25,6 +25,7 @@ from switchcap.cli import (
     CSV_HEADER,
     ORDER_RANGE,
     _GRID_CHUNK,
+    _NUMPY_GRID_POINTS,
     _grid_lines,
     main,
     parse_int_list,
@@ -214,15 +215,21 @@ class TestSweep:
                 ["sweep", "--dims", "2..64", "--orders", "1..300,999999", "--format", "json"],
                 "31a77616fd1cc88092d02b794897895848f76d8f6d9a95edb590aadd4e526ff0",
             ),
+            (
+                ["sweep", "--dims", "2..16", "--orders", "1..20000"],
+                "d3f6a4c5b1c02318683d4c1e8b4608adf086fca79da7864969b5da24eb523dd1",
+            ),
         ],
-        ids=["csv", "text", "json", "wide-csv", "wide-json"],
+        ids=["csv", "text", "json", "wide-csv", "wide-json", "benchmark-csv"],
     )
     def test_document_digests(self, capsys, argv, digest):
         # the grid documents byte for byte; this test is the one owner of
         # these digests.  The 2..16 x 1..2000 grids cross more than a hundred
         # of the writer's 256-row chunks; the wide grids reach every dimension
         # and the far end of the order range, where cancellation moves the
-        # last digits most
+        # last digits most.  The 300 000-point benchmark grid (15 414 123
+        # bytes, pinned from the per-point route) is above _NUMPY_GRID_POINTS,
+        # so it is computed by capacity._holevo_block
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -389,12 +396,19 @@ class TestSweep:
     def test_text_and_json_memory_does_not_grow(self, tmp_path, monkeypatch, command, fmt):
         self._memory_does_not_grow(tmp_path, monkeypatch, command, fmt)
 
+    def test_numpy_route_memory_does_not_grow(self, tmp_path, monkeypatch):
+        # the smallest 15-dimension grid the block route takes; numpy is
+        # already loaded here, so its import is not counted
+        orders = -(-_NUMPY_GRID_POINTS // 15)
+        self._memory_does_not_grow(tmp_path, monkeypatch, "sweep", "csv", orders)
+
     @staticmethod
-    def _memory_does_not_grow(tmp_path, monkeypatch, command, fmt):
-        # 30 000 points; rows are written as they are computed, not held.
-        # stdout goes to a file, so captured output is not counted as held.
+    def _memory_does_not_grow(tmp_path, monkeypatch, command, fmt, orders=2000):
+        # 15 x orders points, 30 000 by default; rows are written as they are
+        # computed, not held.  stdout goes to a file, so captured output is
+        # not counted as held.
         monkeypatch.chdir(tmp_path)
-        argv = [command, "--format", fmt, "--dims", "2..16", "--orders", "1..2000"]
+        argv = [command, "--format", fmt, "--dims", "2..16", "--orders", f"1..{orders}"]
         if command == "sweep":
             argv += ["--out", "grid.out"]
         with open("stdout.txt", "w", encoding="utf-8") as stdout, monkeypatch.context() as patch:
@@ -409,9 +423,9 @@ class TestSweep:
         assert peak < 2 * 2**20
         text = (tmp_path / ("grid.out" if command == "sweep" else "stdout.txt")).read_text()
         if fmt == "json":
-            assert len(json.loads(text)["rows"]) == 15 * 2000
+            assert len(json.loads(text)["rows"]) == 15 * orders
         else:
-            assert text.count("\n") == 1 + 15 * 2000
+            assert text.count("\n") == 1 + 15 * orders
 
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
@@ -996,11 +1010,13 @@ def test_random_argv_is_an_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_closed_forms_load_no_numpy(tmp_path):
     # in a fresh interpreter, importing the CLI and running table, sweep and
-    # limit never loads numpy; verify loads it with its first array
+    # limit never loads numpy; the last run loads it: verify with its first
+    # array, or a sweep of _NUMPY_GRID_POINTS points, the smallest grid the
+    # block route takes
     script = (
         "import contextlib, io, sys\n"
         "import switchcap.cli\n"
-        "out = sys.argv[1]\n"
+        "out, last = sys.argv[1], sys.argv[2:]\n"
         "runs = [['table'], ['table', '--format', 'json'],\n"
         "        ['sweep', '--dims', '2,3', '--orders', '1..5', '--format', 'csv', '--out', out + '.csv'],\n"
         "        ['sweep', '--dims', '2,3', '--orders', '1..5', '--format', 'json', '--out', out + '.json'],\n"
@@ -1008,21 +1024,26 @@ def test_closed_forms_load_no_numpy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [switchcap.cli.main(argv) for argv in runs]\n"
         "    loaded = ['numpy' in sys.modules]\n"
-        "    codes.append(switchcap.cli.main(['verify', '--channels', '2']))\n"
+        "    codes.append(switchcap.cli.main(last))\n"
         "loaded.append('numpy' in sys.modules)\n"
         "print(codes, loaded)\n"
     )
     env = dict(os.environ)
     src = str(Path(switchcap.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "grid")],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.stdout == "[0, 0, 0, 0, 0, 0] [False, True]\n", done.stderr
+    large = f"1..{-(-_NUMPY_GRID_POINTS // 10)}"  # times 10 dimensions
+    for last in (
+        ["verify", "--channels", "2"],
+        ["sweep", "--dims", "2..11", "--orders", large, "--out", str(tmp_path / "large.csv")],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "grid"), *last],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.stdout == "[0, 0, 0, 0, 0, 0] [False, True]\n", done.stderr
     assert (tmp_path / "grid.csv").read_text().startswith(CSV_HEADER + "\n")
     assert (tmp_path / "grid.json").read_text().startswith('{"rows": [')
 
