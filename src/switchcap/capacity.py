@@ -19,7 +19,7 @@ plus (d^2 - 1) / (M d^2) with multiplicity M - 1.
 ``holevo`` owns the entropies of these two spectra, S_min at a pure input
 and S(control): ``s_min`` and ``control_entropy`` return its fields.
 
-NumPy is imported inside the five functions that build arrays, not at
+NumPy is imported inside each function that builds arrays, not at
 module level: ``holevo`` and ``asymptotic_limit`` need ``math`` alone, so
 a caller of the closed forms never pays numpy's import.  ``_holevo_block``
 evaluates ``holevo`` over an array of orders to the same bits, for grids

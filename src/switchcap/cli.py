@@ -4,11 +4,11 @@ Subcommands:
 
 * ``table``  - print rate summaries for an (orders, dims) grid.
 * ``sweep``  - write the same grid as CSV or JSON for plotting.  Both are
-  ``cmd_grid``: every format is computed and written in chunks of 256
-  rows, so memory does not grow with the grid, an interrupted sweep leaves
-  the whole chunks written so far in ``--out``, and every output ends with
-  a newline.  A grid of at least ``_NUMPY_GRID_POINTS`` distinct points is
-  computed ``_GRID_BLOCK`` orders at a time with numpy, to the same bytes.
+  ``cmd_grid``: every format is computed and written ``_GRID_CHUNK`` rows
+  at a time (with numpy, to the same bytes, from ``_NUMPY_GRID_POINTS``
+  distinct points), so memory does not grow with the grid, an interrupted
+  sweep leaves the whole chunks written so far in ``--out``, and every
+  output ends with a newline.
 * ``verify`` - compare the brute-force switch output and sampled rate
   against the closed forms, emitting a machine-readable report.
 * ``limit``  - print the large-M saturation value with a convergence column.
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .capacity import (
-    DIM_RANGE,
+    _check_point,
     _holevo_block,
     analytic_output_state,
     asymptotic_limit,
@@ -97,33 +97,19 @@ FORMATS = {
     "csv": (CSV_HEADER + "\n", "%d,%d,%.12g,%.12g,%.12g\n", "", ""),
     "json": ('{"rows": [', JSON_ROW, ", ", '], "meta": %(meta)s}\n'),
 }
-# The grid is formatted and written this many rows at a time (and, below
-# _NUMPY_GRID_POINTS, computed so too), and each report's fields are taken in
-# the templates' column order.
-_GRID_CHUNK = 256
+# Both grid routes compute, format and write this many rows at a time; each
+# report's fields are taken in the templates' column order.
+_GRID_CHUNK = 1024
 _ROW_FIELDS = operator.itemgetter(0, 1, 4, 2, 3)
-# A grid of at least this many distinct points is computed _GRID_BLOCK orders
+# A grid of at least this many distinct points is computed _GRID_CHUNK orders
 # of one dimension at a time by capacity._holevo_block, which imports numpy;
 # a smaller grid makes one holevo call per point and never loads numpy.  The
 # value is the whole-process break-even on a 2-vCPU x86-64 host (Python
 # 3.11, numpy 2.4.6): numpy's import, 124-171 ms there, against about 1 us
 # saved per point.  Median `switchcap sweep --dims 2..16` CSV times, block
-# route against per-point over 10 alternating pairs: 385/265 ms at 50 000
-# points, 538/478 ms at 100 000, 796/810 ms at 200 000, 1073/1239 ms at
-# 300 000.
+# route against per-point over 10 alternating pairs: 513/384 ms at 100 000
+# points, 820/886 ms at 200 000, 1073/1281 ms at 300 000.
 _NUMPY_GRID_POINTS = 200_000
-_GRID_BLOCK = 4096
-
-
-def _validate_grid(dims: tuple[int, ...], orders: tuple[int, ...]) -> None:
-    lo, hi = DIM_RANGE
-    for d in dims:
-        if not lo <= d <= hi:
-            raise DomainError(f"dimension {d} outside [{lo}, {hi}]")
-    lo, hi = ORDER_RANGE
-    for m in orders:
-        if not lo <= m <= hi:
-            raise DomainError(f"order count {m} outside [{lo}, {hi}]")
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -190,8 +176,8 @@ def _check_seed(seed: int) -> None:
 
 
 def _block_reports(dims: list[int], orders: list[int]) -> Iterator[tuple]:
-    """Each point's (m, d, s_min, s_control, chi), _GRID_BLOCK orders at a time."""
-    blocks = [orders[i : i + _GRID_BLOCK] for i in range(0, len(orders), _GRID_BLOCK)]
+    """Each point's (m, d, s_min, s_control, chi), _GRID_CHUNK orders at a time."""
+    blocks = [orders[i : i + _GRID_CHUNK] for i in range(0, len(orders), _GRID_CHUNK)]
     return itertools.chain.from_iterable(
         zip(block, itertools.repeat(d), *(a.tolist() for a in _holevo_block(block, d)))
         for d in dims
@@ -201,16 +187,21 @@ def _block_reports(dims: list[int], orders: list[int]) -> Iterator[tuple]:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
-    dims = parse_int_list(args.dims)
-    orders = parse_int_list(args.orders)
-    _validate_grid(dims, orders)
-    # Distinct points, sorted by dimension and then by order count.  A small
-    # grid makes one holevo call per point, mapped over each dimension's
-    # orders in C; holevo is read from this module's globals as each
-    # dimension starts, so a wrapper bound to cli.holevo sees every call.  A
-    # large grid goes through _holevo_block instead, which gives the same
+    # Distinct points, sorted by dimension and then by order count, so each
+    # axis is checked at its two ends; capacity owns the dimension bound.
+    dims = sorted(set(parse_int_list(args.dims)))
+    orders = sorted(set(parse_int_list(args.orders)))
+    for d in (dims[0], dims[-1]):
+        _check_point(1, d)
+    lo, hi = ORDER_RANGE
+    for m in (orders[0], orders[-1]):
+        if not lo <= m <= hi:
+            raise DomainError(f"order count {m} outside [{lo}, {hi}]")
+    # A small grid makes one holevo call per point, mapped over each
+    # dimension's orders in C; holevo is read from this module's globals as
+    # each dimension starts, so a wrapper bound to cli.holevo sees every call.
+    # A large grid goes through _holevo_block instead, which gives the same
     # floats and makes no holevo call.
-    dims, orders = sorted(set(dims)), sorted(set(orders))
     if len(dims) * len(orders) < _NUMPY_GRID_POINTS:
         reports = itertools.chain.from_iterable(
             map(holevo, orders, itertools.repeat(d, len(orders))) for d in dims
@@ -249,10 +240,12 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
     closed-form block for three inputs (a basis projector, a seeded random
     mixed state, the maximally mixed state).  Blocks of the pairs in which
     one order is a cyclic shift of the other (``cyclic_pairs``) must agree
-    within BLOCK_TOL, and so must the Kraus completeness residual.  That
-    residual is taken on the first order's Kraus family alone, one slab of
-    d^(2N) products: every order's control block of the completeness sum is
-    the same operator sum with its tuples relabeled, for any basis.  Other pairs,
+    within BLOCK_TOL, and so must the Kraus completeness residual, taken on
+    the first order's Kraus family alone, one slab of d^(2N) products: every
+    order's control block of the completeness sum is the same operator sum
+    with its tuples relabeled, for any basis.  A basis whose channel is not
+    trace preserving never reaches that check: its first output state fails
+    ``SwitchOutput``'s trace check (InvalidStateError, exit 5 in ``main``).  Other pairs,
     for which the closed form is not claimed, only make the status
     ``divergent-block`` if they miss it.  The block checks and the oracle
     share one switch map, built after the inputs are drawn and dropped

@@ -525,8 +525,9 @@ class NormalSource:
     modules.  The same seed gives the same draws, and successive calls
     continue one stream.  A negative seed raises DomainError:
     ``random.Random`` seeds from the absolute value, so -s would repeat the
-    draws of s.  A negative dimension in ``size`` raises DomainError before
-    any draw, where numpy's ``Generator`` raises ValueError.
+    draws of s.  A ``size`` entry that ``operator.index`` refuses, or a
+    negative one, raises DomainError before any draw, where numpy's
+    ``Generator`` raises TypeError or ValueError.
     """
 
     def __init__(self, seed: int) -> None:
@@ -537,12 +538,14 @@ class NormalSource:
 
     def standard_normal(self, size: int | tuple[int, ...]) -> np.ndarray:
         import numpy as np
-        dims = np.atleast_1d(size)
-        if (dims < 0).any():
+        # dtype=object keeps each entry's own type; a numeric array would
+        # make (2, 2.0) two floats and refuse the 2.
+        dims = [_integer("size entry", n) for n in np.atleast_1d(np.array(size, dtype=object))]
+        if any(n < 0 for n in dims):
             raise DomainError(f"negative dimensions are not allowed, got size {size}")
         count = math.prod(dims)
         draws = itertools.starmap(self._gauss, itertools.repeat((0.0, 1.0), count))
-        return np.fromiter(draws, dtype=float, count=count).reshape(size)
+        return np.fromiter(draws, dtype=float, count=count).reshape(dims)
 
 
 def _haar_states(count: int, dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:

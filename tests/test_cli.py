@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import switchcap
+import switchcap.cli as cli_module
 import switchcap.switch as switch_module
 from switchcap.capacity import holevo
 from switchcap.channels import UnitaryBasis, weyl_basis
@@ -185,7 +186,34 @@ class TestTable:
     def test_invalid_dimension_range(self, capsys):
         assert main(["table", "--dims", "1", "--orders", "2"]) == 2
         assert main(["table", "--dims", "65", "--orders", "2"]) == 2
+        assert "dimension 65 outside [2, 64]" in capsys.readouterr().err
         assert main(["table", "--dims", "2", "--orders", "0"]) == 2
+
+    def test_dimension_bound_is_capacitys(self, capsys, monkeypatch):
+        # the grid reads the one bound every closed form enforces, and
+        # refuses before the header is written
+        monkeypatch.setattr("switchcap.capacity.DIM_RANGE", (2, 8))
+        assert main(["table", "--dims", "9", "--orders", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "switchcap: invalid arguments: dimension 9 outside [2, 8]\n"
+
+    @pytest.mark.parametrize(
+        ("dims", "orders", "message"),
+        [
+            ("5,1,70,0", "2", "dimension 0 outside [2, 64]"),
+            ("70,5,80", "2", "dimension 80 outside [2, 64]"),
+            ("2", "3,0,2000000,-4", "order count -4 outside [1, 1000000]"),
+            ("2", "3,2000000,1000001", "order count 2000000 outside [1, 1000000]"),
+        ],
+        ids=["dims-below-and-above", "dims-above", "orders-below-and-above", "orders-above"],
+    )
+    def test_out_of_range_axis_names_its_extreme(self, capsys, dims, orders, message):
+        # each sorted axis is checked at its ends, the lower end first
+        assert main(["table", "--dims", dims, "--orders", orders]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"switchcap: invalid arguments: {message}\n"
 
     def test_unknown_flag(self):
         assert main(["table", "--bogus"]) == 2
@@ -224,8 +252,8 @@ class TestSweep:
     )
     def test_document_digests(self, capsys, argv, digest):
         # the grid documents byte for byte; this test is the one owner of
-        # these digests.  The 2..16 x 1..2000 grids cross more than a hundred
-        # of the writer's 256-row chunks; the wide grids reach every dimension
+        # these digests.  The 2..16 x 1..2000 grids cross dozens of the
+        # writer's _GRID_CHUNK-row chunks; the wide grids reach every dimension
         # and the far end of the order range, where cancellation moves the
         # last digits most.  The 300 000-point benchmark grid (15 414 123
         # bytes, pinned from the per-point route) is above _NUMPY_GRID_POINTS,
@@ -312,8 +340,14 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         ("dims", "orders"),
-        [("2", "1"), ("2", "1..255"), ("2", "1..256"), ("2", "1..257"), ("2,3", "1..258")],
-        ids=["1", "255", "256", "257", "516"],
+        [
+            ("2", "1"),
+            ("2", f"1..{_GRID_CHUNK - 1}"),
+            ("2", f"1..{_GRID_CHUNK}"),
+            ("2", f"1..{_GRID_CHUNK + 1}"),
+            ("2,3", f"1..{_GRID_CHUNK + 2}"),
+        ],
+        ids=["1", "chunk-less-one", "chunk", "chunk-and-one", "two-dims"],
     )
     def test_chunk_boundaries(self, tmp_path, capsys, dims, orders):
         # one row, a chunk less one row, a whole chunk, a chunk and one row,
@@ -356,8 +390,57 @@ class TestSweep:
 
     def test_invalid_grid_creates_no_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
-        assert main(["sweep", "--dims", "2", "--orders", "0..3", "--out", str(out)]) == 2
-        assert not out.exists()
+        for grid in (("2", "0..3"), ("2", "1000001"), ("1", "2")):
+            assert main(["sweep", "--dims", grid[0], "--orders", grid[1], "--out", str(out)]) == 2
+            assert not out.exists()
+
+    @staticmethod
+    def _counted_routes(monkeypatch, threshold):
+        # calls to each route's function while cli._NUMPY_GRID_POINTS is threshold
+        monkeypatch.setattr("switchcap.cli._NUMPY_GRID_POINTS", threshold)
+        calls = {"holevo": 0, "block": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr("switchcap.cli.holevo", counted("holevo", cli_module.holevo))
+        block = cli_module._holevo_block
+        monkeypatch.setattr("switchcap.cli._holevo_block", counted("block", block))
+        return calls
+
+    @pytest.mark.parametrize(
+        ("threshold", "expected"),
+        [(18, {"holevo": 0, "block": 2}), (19, {"holevo": 18, "block": 0})],
+    )
+    def test_route_follows_distinct_points(self, capsys, monkeypatch, threshold, expected):
+        # 54 points as given, 18 distinct: a grid of at least the threshold
+        # makes one block call per dimension, a smaller one a call per point
+        argv = ["table", "--dims", "2,3,2", "--orders", "1..9,1..9"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        calls = self._counted_routes(monkeypatch, threshold)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert calls == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_block_route_writes_the_per_point_bytes(self, capsys, monkeypatch, fmt):
+        # two whole chunks and one row of orders, the far end of the order
+        # range and the largest dimension, on each route
+        orders = f"1..{2 * _GRID_CHUNK + 1},999999"
+        argv = ["table", "--dims", "2,3,64", "--orders", orders, "--format", fmt]
+        documents = []
+        for threshold, route in ((1, "block"), (10**9, "holevo")):
+            with monkeypatch.context() as patch:
+                calls = self._counted_routes(patch, threshold)
+                assert main(argv) == 0
+            documents.append(capsys.readouterr().out)
+            assert [name for name, count in calls.items() if count] == [route]
+        assert documents[0] == documents[1]
 
     @pytest.mark.parametrize(
         ("argv", "seed"),

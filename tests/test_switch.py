@@ -89,6 +89,10 @@ def naive_cross_block(order_a, order_b, basis, rho):
         lambda: NormalSource(0).standard_normal(-1),
         lambda: NormalSource(0).standard_normal((2, -1)),
         lambda: NormalSource(0).standard_normal((-2, -3)),
+        lambda: NormalSource(0).standard_normal(2.5),
+        lambda: NormalSource(0).standard_normal((2, 2.0)),
+        lambda: NormalSource(0).standard_normal(None),
+        lambda: NormalSource(0).standard_normal("3"),
     ],
     ids=[
         "no-orders", "one-channel", "not-a-permutation", "duplicate", "no-kraus", "keep",
@@ -98,7 +102,8 @@ def naive_cross_block(order_a, order_b, basis, rho):
         "negative-haar-dim", "zero-density-dim", "float-partial-trace-dim",
         "negative-partial-trace-dims", "float-block-index", "int-orders-related",
         "zero-guard-m", "negative-guard-m", "negative-draw-count", "negative-draw-dim",
-        "negative-draw-dims",
+        "negative-draw-dims", "float-draw-count", "float-draw-dim", "none-draw-size",
+        "string-draw-size",
     ],
 )
 def test_argument_errors_are_switchcap_errors(call):
