@@ -41,7 +41,7 @@ class UnitaryBasis(Record):
     identity, as an array has no single truth value.  The basis holds its
     own read-only copy of ``ops``, made from any array-like, so no alias of
     the caller's array can change it, and its fields cannot be reassigned.
-    A ``dim`` that ``operator.index`` refuses raises DomainError.
+    A ``dim`` that ``operator.index`` refuses, or below 1, raises DomainError.
     """
 
     __slots__ = ("dim", "ops")
@@ -53,7 +53,7 @@ class UnitaryBasis(Record):
 
     def __init__(self, dim: int, ops: np.ndarray) -> None:
         import numpy as np
-        dim, ops = _integer("dimension", dim), np.array(ops)
+        dim, ops = _integer("dimension", dim, 1), np.array(ops)
         if ops.shape != (dim * dim, dim, dim):
             raise DimensionMismatchError(
                 f"expected {(dim * dim, dim, dim)} operators, got shape {ops.shape}"

@@ -58,6 +58,7 @@ from .errors import (
     NoConvergenceError,
     NotHermitianError,
     SizeGuardError,
+    _integer,
 )
 from .switch import (
     ControlAmplitudes,
@@ -168,13 +169,6 @@ def _meta(seed: int) -> dict:
     return {"seed": seed, "version": __version__}
 
 
-def _check_seed(seed: int) -> None:
-    # random.Random seeds from |seed|, so -s would silently repeat s; table
-    # and sweep draw nothing, but their meta object carries the same seed.
-    if seed < 0:
-        raise DomainError(f"--seed must be nonnegative, got {seed}")
-
-
 def _block_reports(dims: list[int], orders: list[int]) -> Iterator[tuple]:
     """Each point's (m, d, s_min, s_control, chi), _GRID_CHUNK orders at a time."""
     blocks = [orders[i : i + _GRID_CHUNK] for i in range(0, len(orders), _GRID_CHUNK)]
@@ -186,17 +180,17 @@ def _block_reports(dims: list[int], orders: list[int]) -> Iterator[tuple]:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    # random.Random seeds from |seed|, so -s would silently repeat s; the
+    # grid draws nothing, but its meta object carries the same seed.
+    _integer("--seed", args.seed, 0)
     # Distinct points, sorted by dimension and then by order count, so each
     # axis is checked at its two ends; capacity owns the dimension bound.
     dims = sorted(set(parse_int_list(args.dims)))
     orders = sorted(set(parse_int_list(args.orders)))
     for d in (dims[0], dims[-1]):
         _check_point(1, d)
-    lo, hi = ORDER_RANGE
     for m in (orders[0], orders[-1]):
-        if not lo <= m <= hi:
-            raise DomainError(f"order count {m} outside [{lo}, {hi}]")
+        _integer("order count", m, *ORDER_RANGE)
     # A small grid makes one holevo call per point, mapped over each
     # dimension's orders in C; holevo is read from this module's globals as
     # each dimension starts, so a wrapper bound to cli.holevo sees every call.
@@ -304,7 +298,8 @@ def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    # random.Random seeds from |seed|, so -s would silently repeat s.
+    _integer("--seed", args.seed, 0)
     if args.mode != "explicit" and args.perms is not None:
         raise DomainError(f"--perms needs --mode explicit, not --mode {args.mode}")
     perms = parse_permutations(args.perms) if args.perms else None

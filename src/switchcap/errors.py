@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and ``_integer``, which converts
+and bounds every integer argument: each count, dimension, block index and seed."""
 
 import operator
 
@@ -39,12 +40,22 @@ class DomainError(SwitchCapError, ValueError):
     """An argument lies outside the domain that its function accepts."""
 
 
-def _integer(name: str, value: object) -> int:
-    """``value`` as an int, or DomainError if ``operator.index`` refuses it.
+def _integer(name: str, value: object, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int within its bounds, or DomainError.
 
-    NumPy integers are accepted; a float such as 2.0 is refused, not rounded.
+    ``operator.index`` converts it: NumPy integers are accepted, and a float
+    such as 2.0 is refused, not rounded.  The int is then checked against
+    ``low`` alone, or against [low, high] when ``high`` is given, with the
+    messages "{name} must be at least {low}, got {value}" and
+    "{name} {value} outside [{low}, {high}]".
     """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value}") from None
+    if high is not None:
+        if not low <= value <= high:
+            raise DomainError(f"{name} {value} outside [{low}, {high}]")
+    elif low is not None and value < low:
+        raise DomainError(f"{name} must be at least {low}, got {value}")
+    return value

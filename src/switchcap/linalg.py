@@ -179,9 +179,7 @@ def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
     dimension that is not an integer, or is below 1, raises DomainError.
     """
     import numpy as np
-    dim_a, dim_b = _integer("dimension", dim_a), _integer("dimension", dim_b)
-    if min(dim_a, dim_b) < 1:
-        raise DomainError(f"subsystem dimensions must be at least 1, got {dim_a} x {dim_b}")
+    dim_a, dim_b = _integer("dimension", dim_a, 1), _integer("dimension", dim_b, 1)
     rho = np.asarray(rho, dtype=complex)
     dim = dim_a * dim_b
     if rho.shape != (dim, dim):

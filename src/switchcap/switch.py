@@ -171,9 +171,7 @@ class ControlAmplitudes(Record):
 
     @classmethod
     def uniform(cls, m: int) -> "ControlAmplitudes":
-        m = _integer("number of orders", m)
-        if m < 1:
-            raise DomainError(f"need at least one order, got {m}")
+        m = _integer("number of orders", m, 1)
         return cls(values=tuple([1.0 / math.sqrt(m)] * m))
 
     def __len__(self) -> int:
@@ -189,7 +187,8 @@ class SwitchOutput(Record):
 
     ``state`` is taken as an array (a nested list is converted), validated
     and made read-only, and no field can be reassigned.  Equality and
-    hashing are by identity, as an array has no single truth value.
+    hashing are by identity, as an array has no single truth value.  M or d
+    below 1, or not an integer, raises DomainError.
     """
 
     __slots__ = ("m_orders", "dim", "state")
@@ -202,7 +201,7 @@ class SwitchOutput(Record):
 
     def __init__(self, m_orders: int, dim: int, state: np.ndarray) -> None:
         import numpy as np
-        m_orders, dim = _integer("number of orders", m_orders), _integer("dimension", dim)
+        m_orders, dim = _integer("number of orders", m_orders, 1), _integer("dimension", dim, 1)
         state = np.asarray(state)
         expected = m_orders * dim
         if state.shape != (expected, expected):
@@ -217,18 +216,14 @@ class SwitchOutput(Record):
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Read-only view of the (i, j) control sector, a dim x dim matrix."""
-        i, j = _integer("block index", i), _integer("block index", j)
-        if not (0 <= i < self.m_orders and 0 <= j < self.m_orders):
-            raise DomainError(f"block ({i}, {j}) outside [0, {self.m_orders})")
+        i, j = (_integer("block index", k, 0, self.m_orders - 1) for k in (i, j))
         d = self.dim
         return self.state[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
 
 def order_count(n_channels: int, mode: str) -> int:
     """M of the ``cyclic`` or ``all`` order set over N channels, without building it."""
-    n_channels = _integer("channel count", n_channels)
-    if n_channels < 2:
-        raise DomainError(f"need at least two channels, got {n_channels}")
+    n_channels = _integer("channel count", n_channels, 2)
     if mode == "cyclic":
         return n_channels
     if n_channels > MAX_FACTORIAL_CHANNELS:
@@ -302,13 +297,9 @@ def check_size_guard(
     refused first, as its 2^(2N) products alone pass the budget, so d^(2N)
     is never built as a huge integer and N <= 14 past the first refusal.
     """
-    n_channels = _integer("channel count", n_channels)
-    m, dim = _integer("number of orders", m_orders), _integer("dimension", dim)
+    n_channels = _integer("channel count", n_channels, 2)
+    m, dim = _integer("number of orders", m_orders, 1), _integer("dimension", dim, 2)
     n = max(_integer("sample count", n_samples), dim)
-    if n_channels < 2 or m < 1 or dim < 2:
-        raise DomainError(
-            f"the size guard needs N >= 2, M >= 1 and d >= 2, got N={n_channels}, M={m}, d={dim}"
-        )
     if 2 * n_channels > BYTE_BUDGET.bit_length():
         raise SizeGuardError(
             f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of order "
@@ -531,18 +522,14 @@ class NormalSource:
     """
 
     def __init__(self, seed: int) -> None:
-        seed = _integer("seed", seed)
-        if seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {seed}")
+        seed = _integer("seed", seed, 0)
         self._gauss = random.Random(seed).gauss
 
     def standard_normal(self, size: int | tuple[int, ...]) -> np.ndarray:
         import numpy as np
         # dtype=object keeps each entry's own type; a numeric array would
         # make (2, 2.0) two floats and refuse the 2.
-        dims = [_integer("size entry", n) for n in np.atleast_1d(np.array(size, dtype=object))]
-        if any(n < 0 for n in dims):
-            raise DomainError(f"negative dimensions are not allowed, got size {size}")
+        dims = [_integer("size entry", n, 0) for n in np.atleast_1d(np.array(size, dtype=object))]
         count = math.prod(dims)
         draws = itertools.starmap(self._gauss, itertools.repeat((0.0, 1.0), count))
         return np.fromiter(draws, dtype=float, count=count).reshape(dims)
@@ -565,21 +552,13 @@ def _haar_states(count: int, dim: int, rng: NormalSource | np.random.Generator) 
     return v
 
 
-def _sampler_dim(dim: int) -> int:
-    """``dim`` as an int, or DomainError if it is not an integer of at least 1."""
-    dim = _integer("dimension", dim)
-    if dim < 1:
-        raise DomainError(f"dimension must be at least 1, got {dim}")
-    return dim
-
-
 def haar_random_state(dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
     """Haar-random pure state vector from complex Gaussian entries, as ``_haar_states`` draws it.
 
     ``rng`` is any object with ``standard_normal(size)``.  A ``dim`` that is
     not an integer of at least 1 raises DomainError.
     """
-    return _haar_states(1, _sampler_dim(dim), rng)[0]
+    return _haar_states(1, _integer("dimension", dim, 1), rng)[0]
 
 
 def random_density_matrix(dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
@@ -589,7 +568,7 @@ def random_density_matrix(dim: int, rng: NormalSource | np.random.Generator) -> 
     not an integer of at least 1 raises DomainError.
     """
     import numpy as np
-    dim = _sampler_dim(dim)
+    dim = _integer("dimension", dim, 1)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
@@ -629,9 +608,7 @@ def holevo_oracle(
     """
     import numpy as np
     rng = NormalSource(seed)
-    d, n_samples = basis.dim, _integer("sample count", n_samples)
-    if not 1 <= n_samples <= MAX_ORACLE_SAMPLES:
-        raise DomainError(f"sample count {n_samples} outside [1, {MAX_ORACLE_SAMPLES}]")
+    d, n_samples = basis.dim, _integer("sample count", n_samples, 1, MAX_ORACLE_SAMPLES)
     check_size_guard(orders.n_channels, orders.m_orders, d, n_samples)
     switch_map = _map_for(orders, basis, switch_map)
     c = ControlAmplitudes.uniform(orders.m_orders).as_array()

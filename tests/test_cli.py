@@ -464,7 +464,7 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"switchcap: invalid arguments: --seed must be nonnegative, got {seed}\n"
+            f"switchcap: invalid arguments: --seed must be at least 0, got {seed}\n"
         )
 
     def test_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
@@ -720,7 +720,7 @@ class TestVerify:
         assert main(["verify", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "switchcap: invalid arguments: --seed must be nonnegative, got -1\n"
+        assert captured.err == "switchcap: invalid arguments: --seed must be at least 0, got -1\n"
 
     def test_request_does_not_import_numpy_random(self):
         # the seeded draws come from the stdlib generator, loaded at start-up
@@ -1023,6 +1023,28 @@ INTEGER_FLAGS = [
 def test_absurd_integer_is_an_exit_code(capsys, flag, value):
     *argv, name = flag
     assert main([*argv, f"{name}={value}"]) in range(6)
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["table", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (
+            ["sweep", "--dims", "2", "--orders", "2", "--seed", "-1"],
+            "--seed must be at least 0, got -1",
+        ),
+        (["verify", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["verify", "--channels", "1"], "channel count must be at least 2, got 1"),
+        (["table", "--orders", "0"], "order count 0 outside [1, 1000000]"),
+    ],
+    ids=["table-seed", "sweep-seed", "verify-seed", "verify-channels", "table-orders"],
+)
+def test_integer_bound_refusal_text(capsys, argv, message):
+    # every integer bound is checked by errors._integer, in one of its two forms
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"switchcap: invalid arguments: {message}\n"
 
 
 def test_version_flag(capsys):

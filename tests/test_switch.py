@@ -93,6 +93,8 @@ def naive_cross_block(order_a, order_b, basis, rho):
         lambda: NormalSource(0).standard_normal((2, 2.0)),
         lambda: NormalSource(0).standard_normal(None),
         lambda: NormalSource(0).standard_normal("3"),
+        lambda: SwitchOutput(-1, -2, np.eye(2) / 2),
+        lambda: UnitaryBasis(dim=0, ops=np.zeros((0, 0, 0))),
     ],
     ids=[
         "no-orders", "one-channel", "not-a-permutation", "duplicate", "no-kraus", "keep",
@@ -103,7 +105,7 @@ def naive_cross_block(order_a, order_b, basis, rho):
         "negative-partial-trace-dims", "float-block-index", "int-orders-related",
         "zero-guard-m", "negative-guard-m", "negative-draw-count", "negative-draw-dim",
         "negative-draw-dims", "float-draw-count", "float-draw-dim", "none-draw-size",
-        "string-draw-size",
+        "string-draw-size", "negative-output-shape", "zero-basis-dim",
     ],
 )
 def test_argument_errors_are_switchcap_errors(call):
@@ -516,15 +518,25 @@ class TestBuildSwitchKraus:
             check_size_guard(14, 10**4, np.int64(3))
 
     @pytest.mark.parametrize(
-        ("n_channels", "m", "dim"),
-        [(1, 2, 2), (0, 2, 2), (-3, 2, 2), (2, 2, 1), (2, 2, 0), (14, 2, -2), (2, 0, 2), (2, -3, 2)],
+        ("n_channels", "m", "dim", "message"),
+        [
+            (1, 2, 2, "channel count must be at least 2, got 1"),
+            (0, 2, 2, "channel count must be at least 2, got 0"),
+            (-3, 2, 2, "channel count must be at least 2, got -3"),
+            (2, 2, 1, "dimension must be at least 2, got 1"),
+            (2, 2, 0, "dimension must be at least 2, got 0"),
+            (14, 2, -2, "dimension must be at least 2, got -2"),
+            (2, 0, 2, "number of orders must be at least 1, got 0"),
+            (2, -3, 2, "number of orders must be at least 1, got -3"),
+        ],
         ids=["1-2", "0-2", "-3-2", "2-1", "2-0", "14--2", "m-0", "m--3"],
     )
-    def test_size_guard_domain(self, n_channels, m, dim):
+    def test_size_guard_domain(self, n_channels, m, dim, message):
         # fewer than two channels, no order or a dimension below 2 is refused
-        # before any count
-        with pytest.raises(DomainError, match="N >= 2, M >= 1 and d >= 2"):
+        # before any count, naming the argument out of its domain
+        with pytest.raises(DomainError) as caught:
             check_size_guard(n_channels, m, dim)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         ("m", "dim", "bits"),
@@ -1352,8 +1364,9 @@ class TestNormalSource:
 
     def test_rejects_negative_seed(self):
         # random.Random(-s) would repeat the stream of s
-        with pytest.raises(DomainError, match="nonnegative"):
+        with pytest.raises(DomainError) as caught:
             NormalSource(-1)
+        assert str(caught.value) == "seed must be at least 0, got -1"
 
     def test_drives_the_state_samplers(self):
         v = haar_random_state(5, NormalSource(99))
