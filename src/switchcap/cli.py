@@ -5,10 +5,11 @@ Subcommands:
 * ``table``  - print rate summaries for an (orders, dims) grid.
 * ``sweep``  - write the same grid as CSV or JSON for plotting.  Both are
   ``cmd_grid``: every format is computed and written ``_GRID_CHUNK`` rows
-  at a time (with numpy, to the same bytes, from ``_NUMPY_GRID_POINTS``
-  distinct points), so memory does not grow with the grid, an interrupted
-  sweep leaves the whole chunks written so far in ``--out``, and every
-  output ends with a newline.
+  at a time, each chunk one flat list of fields in the row template's
+  column order, which the numpy route (``_NUMPY_GRID_POINTS`` distinct
+  points, the same bytes) fills column by column.  So memory does not grow
+  with the grid, an interrupted sweep leaves the whole chunks written so
+  far in ``--out``, and every output ends with a newline.
 * ``verify`` - compare the brute-force switch output and sampled rate
   against the closed forms, emitting a machine-readable report.
 * ``limit``  - print the large-M saturation value with a convergence column.
@@ -39,7 +40,7 @@ import operator
 import os
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -98,18 +99,19 @@ FORMATS = {
     "csv": (CSV_HEADER + "\n", "%d,%d,%.12g,%.12g,%.12g\n", "", ""),
     "json": ('{"rows": [', JSON_ROW, ", ", '], "meta": %(meta)s}\n'),
 }
-# Both grid routes compute, format and write this many rows at a time; each
-# report's fields are taken in the templates' column order.
+# Both grid routes compute, format and write this many rows at a time; the
+# per-point route takes each report's fields in the templates' column order.
 _GRID_CHUNK = 1024
 _ROW_FIELDS = operator.itemgetter(0, 1, 4, 2, 3)
 # A grid of at least this many distinct points is computed _GRID_CHUNK orders
 # of one dimension at a time by capacity._holevo_block, which imports numpy;
 # a smaller grid makes one holevo call per point and never loads numpy.  The
-# value is the whole-process break-even on a 2-vCPU x86-64 host (Python
+# value is above the whole-process break-even on a 2-vCPU x86-64 host (Python
 # 3.11, numpy 2.4.6): numpy's import, 124-171 ms there, against about 1 us
 # saved per point.  Median `switchcap sweep --dims 2..16` CSV times, block
-# route against per-point over 10 alternating pairs: 513/384 ms at 100 000
-# points, 820/886 ms at 200 000, 1073/1281 ms at 300 000.
+# route against per-point over 10 alternating pairs, in two sessions: 381/362
+# and 319/271 ms at 100 000 points, 530/540 and 461/501 ms at 200 000,
+# 619/728 and 585/697 ms at 300 000.
 _NUMPY_GRID_POINTS = 200_000
 
 
@@ -147,19 +149,18 @@ def parse_permutations(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _grid_lines(fmt: str, rows: Iterable[tuple], seed: int) -> Iterator[str]:
-    """Stream one grid document, _GRID_CHUNK rows per string as they are computed.
+def _grid_lines(fmt: str, chunks: Iterable[Sequence], seed: int) -> Iterator[str]:
+    """Stream one grid document, one string per chunk as it is computed.
 
-    Each row is a CapacityReport, or a plain tuple in its field order.
+    Each chunk is one flat sequence of its rows' fields in the row
+    template's column order (m, d, chi, s_min, s_control).
     """
     head, row, between, tail = FORMATS[fmt]
     yield head
-    rows = iter(rows)
     later = between + row
     skip = len(between)  # no separator before the first row
-    while chunk := list(itertools.islice(rows, _GRID_CHUNK)):
-        fields = itertools.chain.from_iterable(map(_ROW_FIELDS, chunk))
-        yield (later * len(chunk))[skip:] % tuple(fields)
+    for fields in chunks:
+        yield (later * (len(fields) // 5))[skip:] % tuple(fields)
         skip = 0
     if tail:
         yield tail % {"meta": json.dumps(_meta(seed))}
@@ -169,14 +170,23 @@ def _meta(seed: int) -> dict:
     return {"seed": seed, "version": __version__}
 
 
-def _block_reports(dims: list[int], orders: list[int]) -> Iterator[tuple]:
-    """Each point's (m, d, s_min, s_control, chi), _GRID_CHUNK orders at a time."""
-    blocks = [orders[i : i + _GRID_CHUNK] for i in range(0, len(orders), _GRID_CHUNK)]
-    return itertools.chain.from_iterable(
-        zip(block, itertools.repeat(d), *(a.tolist() for a in _holevo_block(block, d)))
-        for d in dims
-        for block in blocks
-    )
+def _report_chunks(reports: Iterable[tuple]) -> Iterator[tuple]:
+    """Each _GRID_CHUNK CapacityReports' fields, flat in template column order."""
+    reports = iter(reports)
+    while chunk := list(itertools.islice(reports, _GRID_CHUNK)):
+        yield tuple(itertools.chain.from_iterable(map(_ROW_FIELDS, chunk)))
+
+
+def _block_chunks(dims: list[int], orders: list[int]) -> Iterator[list]:
+    """_GRID_CHUNK orders of one d at a time, their fields filled column by column."""
+    for d, i in itertools.product(dims, range(0, len(orders), _GRID_CHUNK)):
+        block = orders[i : i + _GRID_CHUNK]
+        smin, scontrol, chi = _holevo_block(block, d)
+        columns = (block, [d] * len(block), chi.tolist(), smin.tolist(), scontrol.tolist())
+        fields = [None] * (5 * len(block))
+        for j, column in enumerate(columns):
+            fields[j::5] = column
+        yield fields
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -197,12 +207,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     # A large grid goes through _holevo_block instead, which gives the same
     # floats and makes no holevo call.
     if len(dims) * len(orders) < _NUMPY_GRID_POINTS:
-        reports = itertools.chain.from_iterable(
-            map(holevo, orders, itertools.repeat(d, len(orders))) for d in dims
-        )
+        points = (map(holevo, orders, itertools.repeat(d, len(orders))) for d in dims)
+        chunks = _report_chunks(itertools.chain.from_iterable(points))
     else:
-        reports = _block_reports(dims, orders)
-    lines = _grid_lines(args.format, reports, args.seed)
+        chunks = _block_chunks(dims, orders)
+    lines = _grid_lines(args.format, chunks, args.seed)
     out = args.out
     target = contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8")
     with target as handle:

@@ -28,6 +28,7 @@ from switchcap.cli import (
     _GRID_CHUNK,
     _NUMPY_GRID_POINTS,
     _grid_lines,
+    _report_chunks,
     main,
     parse_int_list,
     parse_permutations,
@@ -322,20 +323,20 @@ class TestSweep:
         self._table_matches_sweep(tmp_path, capsys, "json")
 
     def test_csv_rows_match_format_per_field(self):
-        lines = list(_grid_lines("csv", MIXED_REPORTS, 42))
+        lines = list(_grid_lines("csv", _report_chunks(MIXED_REPORTS), 42))
         assert "".join(lines).encode() == csv_reference(MIXED_REPORTS).encode()
         # a single order transmits nothing, written as a bare 0
         assert lines[1].startswith("1,2,0,")
 
     def test_json_rows_match_json_dumps(self):
-        streamed = "".join(_grid_lines("json", MIXED_REPORTS, 7))
+        streamed = "".join(_grid_lines("json", _report_chunks(MIXED_REPORTS), 7))
         assert streamed.encode() == json_reference(MIXED_REPORTS, 7).encode()
         # NumPy floats, as a vectorized grid would yield, write the same bytes
         as_numpy = [type(r)(r.m_orders, r.dim, *map(np.float64, r[2:])) for r in MIXED_REPORTS]
-        assert "".join(_grid_lines("json", as_numpy, 7)) == streamed
+        assert "".join(_grid_lines("json", _report_chunks(as_numpy), 7)) == streamed
 
     def test_text_rows_match_fstring_columns(self):
-        streamed = "".join(_grid_lines("text", MIXED_REPORTS, 42))
+        streamed = "".join(_grid_lines("text", _report_chunks(MIXED_REPORTS), 42))
         assert streamed.encode() == text_reference(MIXED_REPORTS).encode()
 
     @pytest.mark.parametrize(
@@ -349,28 +350,54 @@ class TestSweep:
         ],
         ids=["1", "chunk-less-one", "chunk", "chunk-and-one", "two-dims"],
     )
-    def test_chunk_boundaries(self, tmp_path, capsys, dims, orders):
+    def test_chunk_boundaries(self, tmp_path, capsys, monkeypatch, dims, orders):
         # one row, a chunk less one row, a whole chunk, a chunk and one row,
-        # and two dimensions across three chunk boundaries
-        reports = [holevo(m, d) for d in parse_int_list(dims) for m in parse_int_list(orders)]
+        # and two dimensions across three chunk boundaries, on each route: the
+        # per-point route chunks the whole grid, the block route each dimension
+        dim_list, order_list = parse_int_list(dims), parse_int_list(orders)
+        reports = [holevo(m, d) for d in dim_list for m in order_list]
         grid = ["--dims", dims, "--orders", orders, "--seed", "11"]
         references = {
             "csv": csv_reference(reports),
             "json": json_reference(reports, 11),
             "text": text_reference(reports),
         }
-        for fmt, reference in references.items():
-            pieces = list(_grid_lines(fmt, reports, 11))
-            assert "".join(pieces).encode() == reference.encode()
-            # the head, one string per chunk, and the JSON tail
-            chunks = -(-len(reports) // _GRID_CHUNK)
-            assert len(pieces) == 1 + chunks + (fmt == "json")
-            assert main(["table", *grid, "--format", fmt]) == 0
-            assert capsys.readouterr().out == reference
-            if fmt != "text":
-                out = tmp_path / f"grid.{fmt}"
-                assert main(["sweep", *grid, "--format", fmt, "--out", str(out)]) == 0
-                assert out.read_text() == reference
+        routes = {
+            "holevo": (10**9, -(-len(reports) // _GRID_CHUNK)),
+            "block": (1, len(dim_list) * -(-len(order_list) // _GRID_CHUNK)),
+        }
+        for (route, (threshold, chunks)), (fmt, reference) in itertools.product(
+            routes.items(), references.items()
+        ):
+            with monkeypatch.context() as patch:
+                calls = self._counted_routes(patch, threshold)
+                pieces = self._recorded_pieces(patch)
+                commands = [["table", *grid, "--format", fmt]]
+                if fmt != "text":
+                    out = tmp_path / f"grid.{fmt}"
+                    commands.append(["sweep", *grid, "--format", fmt, "--out", str(out)])
+                for argv in commands:
+                    pieces.clear()
+                    assert main(argv) == 0
+                    written = capsys.readouterr().out if argv[0] == "table" else out.read_text()
+                    assert written.encode() == reference.encode()
+                    # the head, one string per chunk, and the JSON tail
+                    assert len(pieces) == 1 + chunks + (fmt == "json")
+            assert [name for name, count in calls.items() if count] == [route]
+
+    @staticmethod
+    def _recorded_pieces(monkeypatch):
+        # every string cmd_grid writes, in order
+        pieces = []
+        grid_lines = cli_module._grid_lines
+
+        def recorded(*args):
+            for piece in grid_lines(*args):
+                pieces.append(piece)
+                yield piece
+
+        monkeypatch.setattr("switchcap.cli._grid_lines", recorded)
+        return pieces
 
     @pytest.mark.parametrize(
         ("command", "fmt"),
