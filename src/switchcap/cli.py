@@ -4,12 +4,12 @@ Subcommands:
 
 * ``table``  - print rate summaries for an (orders, dims) grid.
 * ``sweep``  - write the same grid as CSV or JSON for plotting.  Both are
-  ``cmd_grid``: every format is computed and written ``_GRID_CHUNK`` rows
-  at a time, each chunk one flat list of fields in the row template's
-  column order, which the numpy route (``_NUMPY_GRID_POINTS`` distinct
-  points, the same bytes) fills column by column.  So memory does not grow
-  with the grid, an interrupted sweep leaves the whole chunks written so
-  far in ``--out``, and every output ends with a newline.
+  ``cmd_grid``: every format is computed and written at most
+  ``_GRID_CHUNK`` orders of one dimension at a time, each chunk one flat
+  list of fields in the row template's column order, filled column by
+  column (``_grid_chunks``).  So memory does not grow with the grid, an
+  interrupted sweep leaves the whole chunks written so far in ``--out``,
+  and every output ends with a newline.
 * ``verify`` - compare the brute-force switch output and sampled rate
   against the closed forms, emitting a machine-readable report.
 * ``limit``  - print the large-M saturation value with a convergence column.
@@ -36,7 +36,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import operator
 import os
 import sys
 import time
@@ -99,19 +98,17 @@ FORMATS = {
     "csv": (CSV_HEADER + "\n", "%d,%d,%.12g,%.12g,%.12g\n", "", ""),
     "json": ('{"rows": [', JSON_ROW, ", ", '], "meta": %(meta)s}\n'),
 }
-# Both grid routes compute, format and write this many rows at a time; the
-# per-point route takes each report's fields in the templates' column order.
+# The grid is computed, formatted and written at most this many orders of
+# one dimension at a time.
 _GRID_CHUNK = 1024
-_ROW_FIELDS = operator.itemgetter(0, 1, 4, 2, 3)
-# A grid of at least this many distinct points is computed _GRID_CHUNK orders
-# of one dimension at a time by capacity._holevo_block, which imports numpy;
-# a smaller grid makes one holevo call per point and never loads numpy.  The
-# value is above the whole-process break-even on a 2-vCPU x86-64 host (Python
-# 3.11, numpy 2.4.6): numpy's import, 124-171 ms there, against about 1 us
-# saved per point.  Median `switchcap sweep --dims 2..16` CSV times, block
-# route against per-point over 10 alternating pairs, in two sessions: 381/362
-# and 319/271 ms at 100 000 points, 530/540 and 461/501 ms at 200 000,
-# 619/728 and 585/697 ms at 300 000.
+# A grid of at least this many distinct points takes its rates from
+# capacity._holevo_block, which imports numpy; a smaller grid makes one holevo
+# call per point and never loads numpy.  The value is above the whole-process
+# break-even on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4.6): numpy's
+# import, 124-171 ms there, against about 1 us saved per point.  Median
+# `switchcap sweep --dims 2..16` CSV times from fresh processes, block route
+# against per-point over 10 alternating pairs: 309/262 ms at 100 005 points,
+# 434/472 ms at 200 010, 555/663 ms at 300 000: break-even near 155 000.
 _NUMPY_GRID_POINTS = 200_000
 
 
@@ -170,21 +167,25 @@ def _meta(seed: int) -> dict:
     return {"seed": seed, "version": __version__}
 
 
-def _report_chunks(reports: Iterable[tuple]) -> Iterator[tuple]:
-    """Each _GRID_CHUNK CapacityReports' fields, flat in template column order."""
-    reports = iter(reports)
-    while chunk := list(itertools.islice(reports, _GRID_CHUNK)):
-        yield tuple(itertools.chain.from_iterable(map(_ROW_FIELDS, chunk)))
+def _grid_chunks(dims: list[int], orders: list[int]) -> Iterator[list]:
+    """At most _GRID_CHUNK orders of one d at a time, as ``_grid_lines`` takes them.
 
-
-def _block_chunks(dims: list[int], orders: list[int]) -> Iterator[list]:
-    """_GRID_CHUNK orders of one d at a time, their fields filled column by column."""
+    Each chunk's fields are filled column by column.  A grid of at least
+    _NUMPY_GRID_POINTS points takes its rate columns from _holevo_block,
+    which imports numpy; a smaller one makes one holevo call per point,
+    read from this module's globals at each chunk, so a wrapper bound to
+    cli.holevo sees every call.  Both give the same floats.
+    """
+    large = len(dims) * len(orders) >= _NUMPY_GRID_POINTS
     for d, i in itertools.product(dims, range(0, len(orders), _GRID_CHUNK)):
         block = orders[i : i + _GRID_CHUNK]
-        smin, scontrol, chi = _holevo_block(block, d)
-        columns = (block, [d] * len(block), chi.tolist(), smin.tolist(), scontrol.tolist())
-        fields = [None] * (5 * len(block))
-        for j, column in enumerate(columns):
+        n = len(block)
+        if large:
+            smin, scontrol, chi = (column.tolist() for column in _holevo_block(block, d))
+        else:
+            _, _, smin, scontrol, chi = zip(*map(holevo, block, itertools.repeat(d, n)))
+        fields = [None] * (5 * n)
+        for j, column in enumerate((block, [d] * n, chi, smin, scontrol)):
             fields[j::5] = column
         yield fields
 
@@ -201,17 +202,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         _check_point(1, d)
     for m in (orders[0], orders[-1]):
         _integer("order count", m, *ORDER_RANGE)
-    # A small grid makes one holevo call per point, mapped over each
-    # dimension's orders in C; holevo is read from this module's globals as
-    # each dimension starts, so a wrapper bound to cli.holevo sees every call.
-    # A large grid goes through _holevo_block instead, which gives the same
-    # floats and makes no holevo call.
-    if len(dims) * len(orders) < _NUMPY_GRID_POINTS:
-        points = (map(holevo, orders, itertools.repeat(d, len(orders))) for d in dims)
-        chunks = _report_chunks(itertools.chain.from_iterable(points))
-    else:
-        chunks = _block_chunks(dims, orders)
-    lines = _grid_lines(args.format, chunks, args.seed)
+    lines = _grid_lines(args.format, _grid_chunks(dims, orders), args.seed)
     out = args.out
     target = contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8")
     with target as handle:

@@ -28,7 +28,6 @@ from switchcap.cli import (
     _GRID_CHUNK,
     _NUMPY_GRID_POINTS,
     _grid_lines,
-    _report_chunks,
     main,
     parse_int_list,
     parse_permutations,
@@ -67,6 +66,11 @@ def random_order_subsets():
         size = rng.randint(1, min(len(perms), 40))
         subsets.append(OrderSet(orders=tuple(rng.sample(perms, size))))
     return subsets
+
+
+def template_fields(reports):
+    """One grid chunk: the reports' fields, flat in template column order."""
+    return [x for r in reports for x in (r.m_orders, r.dim, r.chi, r.s_min, r.s_control)]
 
 
 def csv_reference(reports):
@@ -323,20 +327,20 @@ class TestSweep:
         self._table_matches_sweep(tmp_path, capsys, "json")
 
     def test_csv_rows_match_format_per_field(self):
-        lines = list(_grid_lines("csv", _report_chunks(MIXED_REPORTS), 42))
+        lines = list(_grid_lines("csv", [template_fields(MIXED_REPORTS)], 42))
         assert "".join(lines).encode() == csv_reference(MIXED_REPORTS).encode()
         # a single order transmits nothing, written as a bare 0
         assert lines[1].startswith("1,2,0,")
 
     def test_json_rows_match_json_dumps(self):
-        streamed = "".join(_grid_lines("json", _report_chunks(MIXED_REPORTS), 7))
+        streamed = "".join(_grid_lines("json", [template_fields(MIXED_REPORTS)], 7))
         assert streamed.encode() == json_reference(MIXED_REPORTS, 7).encode()
         # NumPy floats, as a vectorized grid would yield, write the same bytes
         as_numpy = [type(r)(r.m_orders, r.dim, *map(np.float64, r[2:])) for r in MIXED_REPORTS]
-        assert "".join(_grid_lines("json", _report_chunks(as_numpy), 7)) == streamed
+        assert "".join(_grid_lines("json", [template_fields(as_numpy)], 7)) == streamed
 
     def test_text_rows_match_fstring_columns(self):
-        streamed = "".join(_grid_lines("text", _report_chunks(MIXED_REPORTS), 42))
+        streamed = "".join(_grid_lines("text", [template_fields(MIXED_REPORTS)], 42))
         assert streamed.encode() == text_reference(MIXED_REPORTS).encode()
 
     @pytest.mark.parametrize(
@@ -347,13 +351,14 @@ class TestSweep:
             ("2", f"1..{_GRID_CHUNK}"),
             ("2", f"1..{_GRID_CHUNK + 1}"),
             ("2,3", f"1..{_GRID_CHUNK + 2}"),
+            ("2..64", "1..3"),
         ],
-        ids=["1", "chunk-less-one", "chunk", "chunk-and-one", "two-dims"],
+        ids=["1", "chunk-less-one", "chunk", "chunk-and-one", "two-dims", "many-dims"],
     )
     def test_chunk_boundaries(self, tmp_path, capsys, monkeypatch, dims, orders):
         # one row, a chunk less one row, a whole chunk, a chunk and one row,
-        # and two dimensions across three chunk boundaries, on each route: the
-        # per-point route chunks the whole grid, the block route each dimension
+        # two dimensions across three chunk boundaries, and 63 dimensions of
+        # three rows each, on each route; both routes chunk each dimension
         dim_list, order_list = parse_int_list(dims), parse_int_list(orders)
         reports = [holevo(m, d) for d in dim_list for m in order_list]
         grid = ["--dims", dims, "--orders", orders, "--seed", "11"]
@@ -362,11 +367,9 @@ class TestSweep:
             "json": json_reference(reports, 11),
             "text": text_reference(reports),
         }
-        routes = {
-            "holevo": (10**9, -(-len(reports) // _GRID_CHUNK)),
-            "block": (1, len(dim_list) * -(-len(order_list) // _GRID_CHUNK)),
-        }
-        for (route, (threshold, chunks)), (fmt, reference) in itertools.product(
+        chunks = len(dim_list) * -(-len(order_list) // _GRID_CHUNK)
+        routes = {"holevo": 10**9, "block": 1}
+        for (route, threshold), (fmt, reference) in itertools.product(
             routes.items(), references.items()
         ):
             with monkeypatch.context() as patch:
@@ -1142,16 +1145,19 @@ def test_random_argv_is_an_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_closed_forms_load_no_numpy(tmp_path):
     # in a fresh interpreter, importing the CLI and running table, sweep and
-    # limit never loads numpy; the last run loads it: verify with its first
+    # limit never loads numpy, not even for the largest 10-dimension sweep
+    # below _NUMPY_GRID_POINTS; the last run loads it: verify with its first
     # array, or a sweep of _NUMPY_GRID_POINTS points, the smallest grid the
     # block route takes
+    below = f"1..{(_NUMPY_GRID_POINTS - 1) // 10}"  # times 10 dimensions
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, os, sys\n"
         "import switchcap.cli\n"
         "out, last = sys.argv[1], sys.argv[2:]\n"
         "runs = [['table'], ['table', '--format', 'json'],\n"
         "        ['sweep', '--dims', '2,3', '--orders', '1..5', '--format', 'csv', '--out', out + '.csv'],\n"
         "        ['sweep', '--dims', '2,3', '--orders', '1..5', '--format', 'json', '--out', out + '.json'],\n"
+        f"        ['sweep', '--dims', '2..11', '--orders', '{below}', '--out', os.devnull],\n"
         "        ['limit', '--dim', '2']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [switchcap.cli.main(argv) for argv in runs]\n"
@@ -1175,7 +1181,7 @@ def test_closed_forms_load_no_numpy(tmp_path):
             text=True,
             timeout=120,
         )
-        assert done.stdout == "[0, 0, 0, 0, 0, 0] [False, True]\n", done.stderr
+        assert done.stdout == "[0, 0, 0, 0, 0, 0, 0] [False, True]\n", done.stderr
     assert (tmp_path / "grid.csv").read_text().startswith(CSV_HEADER + "\n")
     assert (tmp_path / "grid.json").read_text().startswith('{"rows": [')
 
