@@ -210,26 +210,18 @@ def asymptotic_limit(dim: int) -> float:
     )
 
 
-def analytic_output_state(
-    rho: np.ndarray,
-    m_orders: int,
-    amplitudes: ControlAmplitudes | None = None,
-) -> np.ndarray:
+def analytic_output_state(rho: np.ndarray, m_orders: int) -> np.ndarray:
     """Closed-form joint output state as an (M*d) x (M*d) matrix.
 
-    Block (i, i) is c_i^2 * I/d and block (i, j) is c_i c_j * rho/d^2.
-    Defaults to uniform amplitudes.
+    The control amplitudes are uniform, c = 1/sqrt(M): block (i, i) is
+    c^2 * I/d and block (i, j) is c^2 * rho/d^2.
     """
     import numpy as np
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"expected a square state, got shape {rho.shape}")
     _check_point(m_orders, rho.shape[0])
-    if amplitudes is None:
-        amplitudes = ControlAmplitudes.uniform(m_orders)
-    if len(amplitudes) != m_orders:
-        raise DomainError(f"{len(amplitudes)} amplitudes for {m_orders} orders")
-    c = amplitudes.as_array()
+    c = ControlAmplitudes.uniform(m_orders).as_array()
     d = rho.shape[0]
     weights = np.diag(c * c)
     return np.kron(weights, np.eye(d) / d) + np.kron(np.outer(c, c) - weights, rho / (d * d))
@@ -251,9 +243,10 @@ def det_factorization_residual(
     Both sides are evaluated in log space (sums of log eigenvalues) because
     the full determinant underflows fixed precision once M*d grows past ~50.
     The factorization holds for uniform amplitudes only, so any other
-    amplitude vector is rejected; rho must be a state, or
-    ``output_spectrum`` raises InvalidSpectrumError.  Every eigenvalue of
-    the closed-form state is then at least (d-1)/(M d^2) > 0.
+    amplitude vector is rejected (DomainError), and an ``amplitudes`` that
+    is not a ``ControlAmplitudes`` raises InvalidStateError; rho must be a
+    state, or ``output_spectrum`` raises InvalidSpectrumError.  Every
+    eigenvalue of the closed-form state is then at least (d-1)/(M d^2) > 0.
     """
     import numpy as np
     _check_point(m_orders, basis_dim)
@@ -261,6 +254,8 @@ def det_factorization_residual(
         raise DimensionOutOfRangeError(
             f"joint dimension {m_orders * basis_dim} exceeds {MAX_DETERMINANT_DIM}"
         )
+    if not isinstance(amplitudes, ControlAmplitudes):
+        raise InvalidStateError(f"amplitudes must be a ControlAmplitudes, got {amplitudes!r}")
     uniform = 1.0 / math.sqrt(m_orders)
     if len(amplitudes) != m_orders or any(
         abs(v - uniform) > 1e-12 for v in amplitudes.values
@@ -273,5 +268,5 @@ def det_factorization_residual(
         )
 
     log_factored = np.log(output_spectrum(m_orders, basis_dim, hermitian_spectrum(rho))).sum()
-    log_full = np.log(hermitian_spectrum(analytic_output_state(rho, m_orders, amplitudes))).sum()
+    log_full = np.log(hermitian_spectrum(analytic_output_state(rho, m_orders))).sum()
     return abs(math.expm1(float(log_factored - log_full)))

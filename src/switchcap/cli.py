@@ -17,10 +17,12 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O
 error, 4 size guard, 5 numerical failure (a non-Hermitian matrix, an
 eigensolver failure, or an invalid state or spectrum inside the
-computation).  All randomness is controlled by ``--seed``, a nonnegative
-integer in every subcommand that takes it, which seeds the stdlib Mersenne
-Twister (``random.Random``) behind ``switch.NormalSource``.  Output is
-byte-stable for identical flags and seed, except each ``verify`` row's
+computation), 130 interrupted (one ``switchcap: interrupted`` line on
+stderr; the whole chunks written so far stay in ``--out``).  All
+randomness is controlled by ``--seed``, a nonnegative integer in every
+subcommand that takes it, which seeds the stdlib Mersenne Twister
+(``random.Random``) behind ``switch.NormalSource``.  Output is byte-stable
+for identical flags and seed, except each ``verify`` row's
 ``wall_time_s``.
 
 NumPy is imported only inside the functions that build arrays, here and in
@@ -223,7 +225,7 @@ def _block_residual(
     import numpy as np
     m, dim = orders.m_orders, basis.dim
     produced = apply_switch(orders, basis, amplitudes, rho, switch_map=switch_map)
-    predicted = analytic_output_state(rho, m, amplitudes)
+    predicted = analytic_output_state(rho, m)
     return np.abs(produced.state - predicted).reshape(m, dim, m, dim).max(axis=(1, 3))
 
 
@@ -392,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         # Buffered output meets a closed reader here, not at interpreter exit.
         sys.stdout.flush()
         return code
+    except KeyboardInterrupt:
+        print("switchcap: interrupted", file=sys.stderr)
+        return 130
     except SizeGuardError as exc:
         print(f"switchcap: size guard: {exc}", file=sys.stderr)
         return 4

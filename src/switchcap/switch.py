@@ -222,8 +222,13 @@ class SwitchOutput(Record):
 
 
 def order_count(n_channels: int, mode: str) -> int:
-    """M of the ``cyclic`` or ``all`` order set over N channels, without building it."""
+    """M of the ``cyclic`` or ``all`` order set over N channels, without building it.
+
+    Any other ``mode`` raises DomainError.
+    """
     n_channels = _integer("channel count", n_channels, 2)
+    if mode not in ("cyclic", "all"):
+        raise DomainError(f"order mode must be 'cyclic' or 'all', got {mode!r}")
     if mode == "cyclic":
         return n_channels
     if n_channels > MAX_FACTORIAL_CHANNELS:
@@ -485,7 +490,8 @@ def apply_switch(
 
     The input target state ``rho`` must match the basis dimension.  The
     result satisfies the density-matrix invariants by construction and is
-    validated before being returned.  ``switch_map`` is
+    validated before being returned.  An ``amplitudes`` that is not a
+    ``ControlAmplitudes`` raises InvalidStateError.  ``switch_map`` is
     ``_switch_map(orders, basis)``, built here when not given; a map built
     for another order set or basis raises DomainError.
     """
@@ -496,6 +502,8 @@ def apply_switch(
         raise DimensionMismatchError(
             f"target state has shape {rho.shape}, basis dimension is {d}"
         )
+    if not isinstance(amplitudes, ControlAmplitudes):
+        raise InvalidStateError(f"amplitudes must be a ControlAmplitudes, got {amplitudes!r}")
     if len(amplitudes) != orders.m_orders:
         raise DimensionMismatchError(
             f"{len(amplitudes)} amplitudes for {orders.m_orders} orders"

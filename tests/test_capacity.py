@@ -410,13 +410,6 @@ class TestAnalyticOutputState:
         predicted = analytic_output_state(rho, 3)
         assert np.abs(produced.state - predicted).max() < 1e-12
 
-    def test_non_uniform_amplitudes(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        c = ControlAmplitudes(values=(0.6, 0.8))
-        state = analytic_output_state(rho, 2, c)
-        assert np.abs(state[:2, :2] - 0.36 * np.eye(2) / 2).max() < 1e-15
-        assert np.abs(state[:2, 2:] - 0.48 * rho / 4).max() < 1e-15
-
     def test_checks_the_point_like_every_closed_form(self):
         with pytest.raises(DomainError, match="dimension 65 outside"):
             analytic_output_state(np.eye(65) / 65, 2)
@@ -426,10 +419,6 @@ class TestAnalyticOutputState:
     def test_rejects_a_non_square_state(self):
         with pytest.raises(InvalidStateError, match="square"):
             analytic_output_state(np.zeros((2, 3)), 2)
-
-    def test_rejects_an_amplitude_count_other_than_m(self):
-        with pytest.raises(DomainError, match="2 amplitudes for 3 orders"):
-            analytic_output_state(np.eye(2) / 2, 3, ControlAmplitudes.uniform(2))
 
 
 class TestDeterminantFactorization:

@@ -1077,6 +1077,18 @@ def test_integer_bound_refusal_text(capsys, argv, message):
     assert captured.err == f"switchcap: invalid arguments: {message}\n"
 
 
+def test_interrupt_is_one_stderr_line_and_exit_130(capsys, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("switchcap.cli.holevo", interrupt)
+    assert main(["table"]) == 130
+    assert capsys.readouterr().err == "switchcap: interrupted\n"
+    monkeypatch.setattr("switchcap.cli.holevo_oracle", interrupt)
+    assert main(["verify"]) == 130
+    assert capsys.readouterr() == ("", "switchcap: interrupted\n")
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
 

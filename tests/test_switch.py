@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from switchcap import switch
+from switchcap.capacity import det_factorization_residual
 from switchcap.cli import _block_residual
 from switchcap.channels import UnitaryBasis, check_completeness, weyl_basis
 from switchcap.errors import (
@@ -95,6 +96,11 @@ def naive_cross_block(order_a, order_b, basis, rho):
         lambda: NormalSource(0).standard_normal("3"),
         lambda: SwitchOutput(-1, -2, np.eye(2) / 2),
         lambda: UnitaryBasis(dim=0, ops=np.zeros((0, 0, 0))),
+        lambda: apply_switch(cyclic_orders(2), weyl_basis(2), (0.6, 0.8), np.eye(2) / 2),
+        lambda: apply_switch(cyclic_orders(2), weyl_basis(2), None, np.eye(2) / 2),
+        lambda: det_factorization_residual(2, 2, np.eye(2) / 2, (2**-0.5, 2**-0.5)),
+        lambda: det_factorization_residual(2, 2, np.eye(2) / 2, None),
+        lambda: switch.order_count(4, "bogus"),
     ],
     ids=[
         "no-orders", "one-channel", "not-a-permutation", "duplicate", "no-kraus", "keep",
@@ -106,6 +112,8 @@ def naive_cross_block(order_a, order_b, basis, rho):
         "zero-guard-m", "negative-guard-m", "negative-draw-count", "negative-draw-dim",
         "negative-draw-dims", "float-draw-count", "float-draw-dim", "none-draw-size",
         "string-draw-size", "negative-output-shape", "zero-basis-dim",
+        "tuple-switch-amplitudes", "none-switch-amplitudes", "tuple-det-amplitudes",
+        "none-det-amplitudes", "unknown-order-mode",
     ],
 )
 def test_argument_errors_are_switchcap_errors(call):
@@ -665,6 +673,15 @@ class TestApplySwitch:
         out = apply_switch(orders, basis, c, rho)
         for i, amp in enumerate(c.values):
             assert np.abs(out.block(i, i) - amp * amp * np.eye(2) / 2).max() < 1e-12
+
+    def test_cyclic_pair_blocks_for_non_uniform_amplitudes(self):
+        # block (i, i) is c_i^2 I/d and block (i, j) is c_i c_j rho/d^2
+        c = ControlAmplitudes(values=(0.6, 0.8))
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        out = apply_switch(cyclic_orders(2), weyl_basis(2), c, rho)
+        assert np.abs(out.block(0, 0) - 0.36 * np.eye(2) / 2).max() < 1e-15
+        assert np.abs(out.block(0, 1) - 0.48 * rho / 4).max() < 1e-15
+        assert np.abs(out.block(1, 1) - 0.64 * np.eye(2) / 2).max() < 1e-15
 
     def test_relabeling_invariance(self):
         # permuting orders together with amplitudes permutes the blocks
