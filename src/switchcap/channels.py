@@ -19,7 +19,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .errors import DimensionMismatchError, DimensionOutOfRangeError, DomainError, _integer
+from .errors import (
+    DimensionMismatchError,
+    DimensionOutOfRangeError,
+    DomainError,
+    _instance,
+    _integer,
+)
 from .linalg import gram
 
 if TYPE_CHECKING:
@@ -90,9 +96,11 @@ def depolarize(basis: UnitaryBasis, rho: np.ndarray) -> np.ndarray:
 
     Returns (1/d^2) * sum_i U_i rho U_i^dagger, which equals
     Tr(rho) * I / d for any input.  The sum is evaluated literally so the
-    result can serve as a brute-force reference for the closed form.
+    result can serve as a brute-force reference for the closed form.  A
+    ``basis`` that is not a ``UnitaryBasis`` raises DomainError.
     """
     import numpy as np
+    _instance("basis", basis, UnitaryBasis)
     rho = np.asarray(rho, dtype=complex)
     d = basis.dim
     if rho.shape != (d, d):

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``_integer``, which converts
-and bounds every integer argument: each count, dimension, block index and seed."""
+"""Exception types shared across the package, ``_integer``, which converts
+and bounds every integer argument: each count, dimension, block index and
+seed, and ``_instance``, which checks the type of a record argument."""
 
 import operator
 
@@ -59,3 +60,14 @@ def _integer(name: str, value: object, low: int | None = None, high: int | None 
     elif low is not None and value < low:
         raise DomainError(f"{name} must be at least {low}, got {value}")
     return value
+
+
+def _instance(name: str, value: object, cls: type) -> None:
+    """DomainError naming ``name`` unless ``value`` is a ``cls``.
+
+    Callers check a record argument before they read any of its attributes,
+    so ``None`` or a sequence in its place raises DomainError, not
+    AttributeError.
+    """
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {value!r}")

@@ -15,10 +15,11 @@ rho, so the simulator contracts the tuple sum once into a superoperator
 S = sum_t K_t (x) conj(K_t), with S @ vec(rho) = vec of the output before
 amplitude scaling, and takes every output block and sampled rate from S.
 Each channel's index appears once in K_t and once in conj(K_t), so S is
-built channel by channel, one contraction per relative permutation of the
-order pairs, and the d^(2N) tuples are never enumerated for it; the Kraus
-family is built only for the completeness check, where ``verify`` builds
-one order's family.  Block (i, j) of S depends only on the relative
+built channel by channel: each channel is one batched matrix product over
+every relative permutation of the order pairs, its rows grouped by the
+factor they meet, and the d^(2N) tuples are never enumerated for it.  The
+Kraus family is built only for the completeness check, where ``verify``
+builds one order's family.  Block (i, j) of S depends only on the relative
 permutation of orders i and j, so S is held as its distinct blocks and an
 index of which pair uses which.  Everything is summed in a fixed
 deterministic sequence, so results are bit-stable.
@@ -57,6 +58,7 @@ from .errors import (
     DomainError,
     InvalidStateError,
     SizeGuardError,
+    _instance,
     _integer,
 )
 from .linalg import gram, hermitian_spectrum, validate_density_matrix, von_neumann_entropy
@@ -282,8 +284,9 @@ def check_size_guard(
       16 d^(2N) d^2 (M + 1) bytes.  ``verify`` builds the first order's
       family alone, one slab and the chain, after it has dropped its map,
       so for it this term counts (M + 1)/2 times the products it holds.
-    * The switch map's contraction: its chain state, a factor and their
-      product, 48 P d^(N+3) bytes.
+    * The switch map's contraction: its chain state, the state's copy
+      sorted by the factor each row meets, and their product,
+      48 P d^(N+3) bytes.
     * The oracle, for n = max(n_samples, d) pure inputs, holds K and 2^14
       bytes of generator state and array headers, and in turn: the draws
       of ``_haar_states`` with the norm's temporaries, 48 d n bytes; the
@@ -348,8 +351,11 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     slab is written by one copy of the transposed chain into contiguous
     memory, and ``check_completeness`` reads each slab in place.  The
     result is the writable (d^(2N), M, d, d) transposed view of that array.
+    An ``orders`` that is not an ``OrderSet``, or a ``basis`` that is not a
+    ``UnitaryBasis``, raises DomainError.
     """
     import numpy as np
+    _records(orders, basis)
     n, m, d = orders.n_channels, orders.m_orders, basis.dim
     check_size_guard(n, m, d)
     chain = basis.ops
@@ -363,6 +369,12 @@ def build_switch_kraus(orders: OrderSet, basis: UnitaryBasis) -> np.ndarray:
     for slab, order in zip(slabs, orders.orders):
         slab[...] = chain.transpose(*(n - 1 - np.argsort(order)), n, n + 1)
     return slabs.reshape(m, -1, d, d).transpose(1, 0, 2, 3)
+
+
+def _records(orders: OrderSet, basis: UnitaryBasis) -> None:
+    """DomainError unless ``orders`` is an ``OrderSet`` and ``basis`` a ``UnitaryBasis``."""
+    _instance("orders", orders, OrderSet)
+    _instance("basis", basis, UnitaryBasis)
 
 
 def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> SwitchMap:
@@ -386,7 +398,8 @@ def _switch_map(orders: OrderSet, basis: UnitaryBasis) -> SwitchMap:
     Inf. Comput. 15, 759 (2015)).  Every channel has the same W, so a block
     depends only on its relative permutation pi, and each distinct pi is
     contracted once: a state over (pi, y_0..y_N, x_0, x_p) takes factor p
-    in one batched d x d product, and the inner y are summed at the end.
+    of every pi in one ``np.matmul`` of d^2 tall products, one per value of
+    the factor, and the inner y are summed at the end.
 
     Each call runs the byte guard and builds anew; the two arrays are
     returned read-only, so callers may share them, and nothing else holds
@@ -455,15 +468,24 @@ def _contract(twirl: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """The N-twirl network of each relative permutation, shape (P, d, d, d, d).
 
     Entry [pi, c, e, a, b] is the network's value with x_0 = a, x_N = b,
-    y_0 = c and y_N = e.  The chain's state runs over (pi, y_0..y_N, x_0,
-    x_p), so it holds P d^(N+3) entries, as do each factor and product.
+    y_0 = c and y_N = e.  The chain's state is P d^(N+1) rows (pi, y_0..y_N),
+    each a d x d matrix over (x_0, x_p).  Factor p meets row (pi, y) as
+    ``twirl[y_q, y_q+1]``, q = pi(p), one of d^2 matrices keyed by
+    y_q d + y_q+1; y runs over every configuration, so each key is met by
+    exactly P d^(N-1) rows.  Each step sorts the rows by that key into a
+    copy, takes all d^2 tall products of the copy with the factors in one
+    ``np.matmul``, and scatters them back into the state.  The state, its
+    sorted copy and their product are P d^(N+3) entries each.  Keys are
+    below d^2 <= 256 under the byte guard, so they sort as int16, by radix.
     """
     import numpy as np
     d, n = len(twirl), perms.shape[1]
-    y = np.indices((d,) * (n + 1)).reshape(n + 1, -1)
-    state = twirl[y[perms[:, 0]], y[perms[:, 0] + 1]]
+    y = np.indices((d,) * (n + 1), dtype=np.int16).reshape(n + 1, -1)
+    state = twirl[y[perms[:, 0]], y[perms[:, 0] + 1]].reshape(-1, d, d)
+    factors = twirl.reshape(d * d, d, d)
     for q in perms.T[1:]:
-        state = np.einsum("pyab,pybc->pyac", state, twirl[y[q], y[q + 1]])
+        order = np.argsort(y[q] * d + y[q + 1], axis=None, kind="stable")
+        state[order] = np.matmul(state[order].reshape(d * d, -1, d), factors).reshape(-1, d, d)
     return state.reshape(len(perms), d, -1, d, d, d).sum(axis=2)
 
 
@@ -491,11 +513,13 @@ def apply_switch(
     The input target state ``rho`` must match the basis dimension.  The
     result satisfies the density-matrix invariants by construction and is
     validated before being returned.  An ``amplitudes`` that is not a
-    ``ControlAmplitudes`` raises InvalidStateError.  ``switch_map`` is
+    ``ControlAmplitudes`` raises InvalidStateError, and an ``orders`` or
+    ``basis`` that is not its record DomainError.  ``switch_map`` is
     ``_switch_map(orders, basis)``, built here when not given; a map built
     for another order set or basis raises DomainError.
     """
     import numpy as np
+    _records(orders, basis)
     rho = np.asarray(rho, dtype=complex)
     d = basis.dim
     if rho.shape != (d, d):
@@ -543,6 +567,14 @@ class NormalSource:
         return np.fromiter(draws, dtype=float, count=count).reshape(dims)
 
 
+def _normals(rng: NormalSource | np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """``rng.standard_normal(shape)``; an ``rng`` without that method raises DomainError."""
+    draw = getattr(rng, "standard_normal", None)
+    if not callable(draw):
+        raise DomainError(f"rng must have a standard_normal(size) method, got {rng!r}")
+    return draw(shape)
+
+
 def _haar_states(count: int, dim: int, rng: NormalSource | np.random.Generator) -> np.ndarray:
     """``count`` Haar-random pure state vectors, the rows of a (count, dim) array.
 
@@ -555,7 +587,7 @@ def _haar_states(count: int, dim: int, rng: NormalSource | np.random.Generator) 
     it.  ``rng`` is any object with ``standard_normal(size)``.
     """
     import numpy as np
-    v = rng.standard_normal((count, 2, dim)).transpose(0, 2, 1).copy().view(complex)[..., 0]
+    v = _normals(rng, (count, 2, dim)).transpose(0, 2, 1).copy().view(complex)[..., 0]
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v
 
@@ -564,7 +596,8 @@ def haar_random_state(dim: int, rng: NormalSource | np.random.Generator) -> np.n
     """Haar-random pure state vector from complex Gaussian entries, as ``_haar_states`` draws it.
 
     ``rng`` is any object with ``standard_normal(size)``.  A ``dim`` that is
-    not an integer of at least 1 raises DomainError.
+    not an integer of at least 1, or an ``rng`` without that method, raises
+    DomainError.
     """
     return _haar_states(1, _integer("dimension", dim, 1), rng)[0]
 
@@ -573,11 +606,12 @@ def random_density_matrix(dim: int, rng: NormalSource | np.random.Generator) -> 
     """Full-rank random density matrix A A^dagger / Tr(A A^dagger).
 
     ``rng`` is any object with ``standard_normal(size)``.  A ``dim`` that is
-    not an integer of at least 1 raises DomainError.
+    not an integer of at least 1, or an ``rng`` without that method, raises
+    DomainError.
     """
     import numpy as np
     dim = _integer("dimension", dim, 1)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = _normals(rng, (dim, dim)) + 1j * _normals(rng, (dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
@@ -604,8 +638,9 @@ def holevo_oracle(
     output entropy and the value is exact, whatever the sample count and
     seed.  Samples matter only for an ``ops`` array that is not such a
     decomposition, where adding them can only lower the reported minimum.
-    A negative or non-integer seed, or a sample count that is not an
-    integer in [1, MAX_ORACLE_SAMPLES], raises DomainError, and a count
+    An ``orders`` or ``basis`` that is not its record, a negative or
+    non-integer seed, or a sample count that is not an integer in
+    [1, MAX_ORACLE_SAMPLES], raises DomainError, and a count
     that ``check_size_guard`` refuses SizeGuardError, before any state is
     drawn or any map taken.  ``switch_map`` is as for ``apply_switch``.
     The Haar vectors come from one ``_haar_states`` batch, the draws that
@@ -615,6 +650,7 @@ def holevo_oracle(
     single ``von_neumann_entropy`` call takes every entropy.
     """
     import numpy as np
+    _records(orders, basis)
     rng = NormalSource(seed)
     d, n_samples = basis.dim, _integer("sample count", n_samples, 1, MAX_ORACLE_SAMPLES)
     check_size_guard(orders.n_channels, orders.m_orders, d, n_samples)

@@ -10,7 +10,7 @@ import pytest
 from switchcap import switch
 from switchcap.capacity import det_factorization_residual
 from switchcap.cli import _block_residual
-from switchcap.channels import UnitaryBasis, check_completeness, weyl_basis
+from switchcap.channels import UnitaryBasis, check_completeness, depolarize, weyl_basis
 from switchcap.errors import (
     DimensionMismatchError,
     DomainError,
@@ -122,6 +122,34 @@ def test_argument_errors_are_switchcap_errors(call):
     with pytest.raises(SwitchCapError) as caught:
         call()
     assert isinstance(caught.value, ValueError)
+
+
+RHO2 = np.eye(2) / 2
+
+
+@pytest.mark.parametrize(
+    ("call", "name"),
+    [
+        (lambda: apply_switch(None, weyl_basis(2), ControlAmplitudes.uniform(2), RHO2), "orders"),
+        (lambda: apply_switch(cyclic_orders(2), None, ControlAmplitudes.uniform(2), RHO2), "basis"),
+        (lambda: holevo_oracle(None, weyl_basis(2)), "orders"),
+        (lambda: holevo_oracle(cyclic_orders(2), None), "basis"),
+        (lambda: build_switch_kraus(None, weyl_basis(2)), "orders"),
+        (lambda: build_switch_kraus(cyclic_orders(2), None), "basis"),
+        (lambda: depolarize(None, RHO2), "basis"),
+        (lambda: random_density_matrix(2, None), "rng"),
+        (lambda: haar_random_state(2, None), "rng"),
+    ],
+    ids=[
+        "apply-orders", "apply-basis", "oracle-orders", "oracle-basis", "kraus-orders",
+        "kraus-basis", "depolarize-basis", "density-rng", "haar-rng",
+    ],
+)
+def test_non_record_arguments_are_domain_errors(call, name):
+    # None in place of a record, or of a sampler, is named before any of
+    # its attributes is read, so no bare AttributeError escapes
+    with pytest.raises(DomainError, match=f"^{name} must "):
+        call()
 
 
 class TestOrderSets:
@@ -791,6 +819,12 @@ def random_unitaries(dim, seed):
     return UnitaryBasis(dim=dim, ops=q)
 
 
+def pauli_pauli_basis():
+    """The 16 products P_i (x) P_j of the Pauli matrices I, X, Y, Z, at d = 4."""
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    return UnitaryBasis(dim=4, ops=np.einsum("iac,jbd->ijabcd", paulis, paulis).reshape(16, 4, 4))
+
+
 N4_SET = OrderSet(orders=((0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1)))
 
 
@@ -811,11 +845,16 @@ class TestSwitchMapAgainstTupleGram:
             (cyclic_orders(3), twisted_weyl_basis(5, 3)),
             (all_orders(3), random_unitaries(2, 4)),
             (N4_SET, random_unitaries(2, 5)),
+            # contraction-bound: 670 relative permutations in each batched step
+            (OrderSet(orders=tuple(itertools.permutations(range(6)))[::13]), weyl_basis(2)),
+            (cyclic_orders(7), weyl_basis(2)),
+            (cyclic_orders(3), pauli_pauli_basis()),
         ],
         ids=[
             "all3-d3", "all4-d2", "all4-d3", "cyclic4-d3", "cyclic5-d3", "cyclic2-d12",
             "all5-d2", "n4-set-d3", "all3-d3-twisted", "n4-set-d3-twisted",
             "cyclic3-d5-twisted", "all3-d2-random", "n4-set-d2-random",
+            "n6-every13th-d2", "cyclic7-d2", "cyclic3-d4-pauli-pauli",
         ],
     )
     def test_contraction_equals_the_tuple_gram(self, orders, basis):
@@ -859,12 +898,6 @@ def haar_rotated_basis(dim, seed):
 def rank_one_basis(dim):
     """The non-normal operators sqrt(d) |a><b|, a and b in {0..d-1}."""
     return UnitaryBasis(dim=dim, ops=math.sqrt(dim) * np.eye(dim * dim).reshape(-1, dim, dim))
-
-
-def pauli_pauli_basis():
-    """The 16 products P_i (x) P_j of the Pauli matrices I, X, Y, Z, at d = 4."""
-    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-    return UnitaryBasis(dim=4, ops=np.einsum("iac,jbd->ijabcd", paulis, paulis).reshape(16, 4, 4))
 
 
 KRAUS_LISTS = {
