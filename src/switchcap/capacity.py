@@ -36,9 +36,10 @@ from .errors import (
     DomainError,
     InvalidSpectrumError,
     InvalidStateError,
+    _instance,
     _integer,
 )
-from .linalg import hermitian_spectrum, validate_spectrum
+from .linalg import _square_state, hermitian_spectrum, validate_spectrum
 from .switch import ControlAmplitudes
 
 if TYPE_CHECKING:
@@ -243,10 +244,11 @@ def det_factorization_residual(
     Both sides are evaluated in log space (sums of log eigenvalues) because
     the full determinant underflows fixed precision once M*d grows past ~50.
     The factorization holds for uniform amplitudes only, so any other
-    amplitude vector is rejected (DomainError), and an ``amplitudes`` that
-    is not a ``ControlAmplitudes`` raises InvalidStateError; rho must be a
-    state, or ``output_spectrum`` raises InvalidSpectrumError.  Every
-    eigenvalue of the closed-form state is then at least (d-1)/(M d^2) > 0.
+    amplitude vector, or an ``amplitudes`` that is not a
+    ``ControlAmplitudes``, is rejected (DomainError).  rho must be a
+    d x d array (DimensionMismatchError) and a state, or ``output_spectrum``
+    raises InvalidSpectrumError.  Every eigenvalue of the closed-form state
+    is then at least (d-1)/(M d^2) > 0.
     """
     import numpy as np
     _check_point(m_orders, basis_dim)
@@ -254,18 +256,13 @@ def det_factorization_residual(
         raise DimensionOutOfRangeError(
             f"joint dimension {m_orders * basis_dim} exceeds {MAX_DETERMINANT_DIM}"
         )
-    if not isinstance(amplitudes, ControlAmplitudes):
-        raise InvalidStateError(f"amplitudes must be a ControlAmplitudes, got {amplitudes!r}")
+    _instance("amplitudes", amplitudes, ControlAmplitudes)
     uniform = 1.0 / math.sqrt(m_orders)
     if len(amplitudes) != m_orders or any(
         abs(v - uniform) > 1e-12 for v in amplitudes.values
     ):
         raise DomainError("the determinant factorization requires uniform amplitudes")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (basis_dim, basis_dim):
-        raise DomainError(
-            f"state has shape {rho.shape}, expected ({basis_dim}, {basis_dim})"
-        )
+    rho = _square_state(rho, basis_dim)
 
     log_factored = np.log(output_spectrum(m_orders, basis_dim, hermitian_spectrum(rho))).sum()
     log_full = np.log(hermitian_spectrum(analytic_output_state(rho, m_orders))).sum()

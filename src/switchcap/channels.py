@@ -26,7 +26,7 @@ from .errors import (
     _instance,
     _integer,
 )
-from .linalg import gram
+from .linalg import _square_state, gram
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,16 +97,13 @@ def depolarize(basis: UnitaryBasis, rho: np.ndarray) -> np.ndarray:
     Returns (1/d^2) * sum_i U_i rho U_i^dagger, which equals
     Tr(rho) * I / d for any input.  The sum is evaluated literally so the
     result can serve as a brute-force reference for the closed form.  A
-    ``basis`` that is not a ``UnitaryBasis`` raises DomainError.
+    ``basis`` that is not a ``UnitaryBasis`` raises DomainError, and a
+    ``rho`` that is not d x d DimensionMismatchError.
     """
     import numpy as np
     _instance("basis", basis, UnitaryBasis)
-    rho = np.asarray(rho, dtype=complex)
     d = basis.dim
-    if rho.shape != (d, d):
-        raise DimensionMismatchError(
-            f"state has shape {rho.shape}, basis dimension is {d}"
-        )
+    rho = _square_state(rho, d)
     return np.einsum("kij,jl,kml->im", basis.ops, rho, basis.ops.conj()) / (d * d)
 
 

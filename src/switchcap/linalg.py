@@ -169,6 +169,19 @@ def von_neumann_entropy(spectrum: np.ndarray) -> float | np.ndarray:
     return float(entropies[0]) if values.ndim == 1 else entropies
 
 
+def _square_state(rho: np.ndarray, dim: int) -> np.ndarray:
+    """``rho`` as a complex (dim, dim) array, or DimensionMismatchError.
+
+    The one shape check of every function that takes a state of a known
+    dimension; its message is "state has shape {shape}, expected (d, d)".
+    """
+    import numpy as np
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise DimensionMismatchError(f"state has shape {rho.shape}, expected ({dim}, {dim})")
+    return rho
+
+
 def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     """Reduced state of one factor of a bipartite state.
 
@@ -176,18 +189,13 @@ def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndar
     ``dim_b``-level system B, indexed row-major as ``i * dim_b + j``.
     ``keep`` selects the surviving subsystem, ``"A"`` or ``"B"``.  The trace
     of the input is preserved exactly up to floating-point summation.  A
-    dimension that is not an integer, or is below 1, raises DomainError.
+    dimension that is not an integer, or is below 1, raises DomainError,
+    and a ``rho`` of any shape but (dim_a dim_b, dim_a dim_b)
+    DimensionMismatchError.
     """
     import numpy as np
     dim_a, dim_b = _integer("dimension", dim_a, 1), _integer("dimension", dim_b, 1)
-    rho = np.asarray(rho, dtype=complex)
-    dim = dim_a * dim_b
-    if rho.shape != (dim, dim):
-        raise DimensionMismatchError(
-            f"state has shape {rho.shape}, expected ({dim}, {dim}) for "
-            f"subsystem dimensions {dim_a} x {dim_b}"
-        )
-    r = rho.reshape(dim_a, dim_b, dim_a, dim_b)
+    r = _square_state(rho, dim_a * dim_b).reshape(dim_a, dim_b, dim_a, dim_b)
     if keep == "A":
         return np.trace(r, axis1=1, axis2=3)
     if keep == "B":

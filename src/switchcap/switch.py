@@ -61,7 +61,9 @@ from .errors import (
     _instance,
     _integer,
 )
-from .linalg import gram, hermitian_spectrum, validate_density_matrix, von_neumann_entropy
+from .linalg import (
+    _square_state, gram, hermitian_spectrum, validate_density_matrix, von_neumann_entropy
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -299,15 +301,16 @@ def check_size_guard(
     61 (M d)^2 bytes beside K and is not counted: M <= N! keeps it below
     the family's term on every case the budget admits.
 
-    The domain is integers with N >= 2, M >= 1 and d >= 2: a value that
-    ``operator.index`` refuses, and anything outside the domain, raises
+    The domain is integers with N >= 2, M >= 1, d >= 2 and a sample count
+    in [1, MAX_ORACLE_SAMPLES], the bound ``holevo_oracle`` sets: a value
+    that ``operator.index`` refuses, and anything outside the domain, raises
     DomainError.  Within it, an N with 2N past the budget's bit length is
     refused first, as its 2^(2N) products alone pass the budget, so d^(2N)
     is never built as a huge integer and N <= 14 past the first refusal.
     """
     n_channels = _integer("channel count", n_channels, 2)
     m, dim = _integer("number of orders", m_orders, 1), _integer("dimension", dim, 2)
-    n = max(_integer("sample count", n_samples), dim)
+    n = max(_integer("sample count", n_samples, 1, MAX_ORACLE_SAMPLES), dim)
     if 2 * n_channels > BYTE_BUDGET.bit_length():
         raise SizeGuardError(
             f"N={n_channels}, d={dim} needs over 2^{2 * n_channels} bytes of order "
@@ -510,24 +513,19 @@ def apply_switch(
 ) -> SwitchOutput:
     """Exact Kraus-sum output of the switch on (sum_i c_i |i>) control.
 
-    The input target state ``rho`` must match the basis dimension.  The
-    result satisfies the density-matrix invariants by construction and is
-    validated before being returned.  An ``amplitudes`` that is not a
-    ``ControlAmplitudes`` raises InvalidStateError, and an ``orders`` or
-    ``basis`` that is not its record DomainError.  ``switch_map`` is
+    The input target state ``rho`` must match the basis dimension, or
+    DimensionMismatchError is raised.  The result satisfies the
+    density-matrix invariants by construction and is validated before being
+    returned.  An ``orders``, ``basis`` or ``amplitudes`` that is not its
+    record raises DomainError.  ``switch_map`` is
     ``_switch_map(orders, basis)``, built here when not given; a map built
     for another order set or basis raises DomainError.
     """
     import numpy as np
     _records(orders, basis)
-    rho = np.asarray(rho, dtype=complex)
     d = basis.dim
-    if rho.shape != (d, d):
-        raise DimensionMismatchError(
-            f"target state has shape {rho.shape}, basis dimension is {d}"
-        )
-    if not isinstance(amplitudes, ControlAmplitudes):
-        raise InvalidStateError(f"amplitudes must be a ControlAmplitudes, got {amplitudes!r}")
+    rho = _square_state(rho, d)
+    _instance("amplitudes", amplitudes, ControlAmplitudes)
     if len(amplitudes) != orders.m_orders:
         raise DimensionMismatchError(
             f"{len(amplitudes)} amplitudes for {orders.m_orders} orders"

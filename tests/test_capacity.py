@@ -21,6 +21,7 @@ from switchcap.capacity import (
 )
 from switchcap.channels import weyl_basis
 from switchcap.errors import (
+    DimensionMismatchError,
     DimensionOutOfRangeError,
     DomainError,
     InvalidSpectrumError,
@@ -464,7 +465,7 @@ class TestDeterminantFactorization:
             det_factorization_residual(2, 2, rho, ControlAmplitudes(values=(0.6, 0.8)))
 
     def test_rejects_a_state_of_another_dimension(self):
-        with pytest.raises(DomainError, match="expected \\(2, 2\\)"):
+        with pytest.raises(DimensionMismatchError, match="expected \\(2, 2\\)"):
             det_factorization_residual(2, 2, np.eye(3) / 3, ControlAmplitudes.uniform(2))
 
     @pytest.mark.parametrize(

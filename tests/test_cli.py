@@ -50,8 +50,14 @@ from switchcap.switch import (
     cyclically_related,
 )
 
-# Mixed grid points: a single order, tiny and huge M, the smallest and largest d.
-MIXED_REPORTS = [holevo(m, d) for d in (2, 3, 16, 64) for m in (1, 2, 3, 7, 1000, 10**6)]
+
+def mixed_reports():
+    """Mixed grid points: a single order, tiny and huge M, the smallest and largest d.
+
+    Built in the test that asks, not at import, so a fault in ``holevo``
+    fails those tests instead of the collection of the module.
+    """
+    return [holevo(m, d) for d in (2, 3, 16, 64) for m in (1, 2, 3, 7, 1000, 10**6)]
 
 # Two orders of 520 channels, forward and reversed, as --perms takes them.
 WIDE_PAIR = ";".join(",".join(map(str, order)) for order in (range(520), range(519, -1, -1)))
@@ -327,21 +333,24 @@ class TestSweep:
         self._table_matches_sweep(tmp_path, capsys, "json")
 
     def test_csv_rows_match_format_per_field(self):
-        lines = list(_grid_lines("csv", [template_fields(MIXED_REPORTS)], 42))
-        assert "".join(lines).encode() == csv_reference(MIXED_REPORTS).encode()
+        reports = mixed_reports()
+        lines = list(_grid_lines("csv", [template_fields(reports)], 42))
+        assert "".join(lines).encode() == csv_reference(reports).encode()
         # a single order transmits nothing, written as a bare 0
         assert lines[1].startswith("1,2,0,")
 
     def test_json_rows_match_json_dumps(self):
-        streamed = "".join(_grid_lines("json", [template_fields(MIXED_REPORTS)], 7))
-        assert streamed.encode() == json_reference(MIXED_REPORTS, 7).encode()
+        reports = mixed_reports()
+        streamed = "".join(_grid_lines("json", [template_fields(reports)], 7))
+        assert streamed.encode() == json_reference(reports, 7).encode()
         # NumPy floats, as a vectorized grid would yield, write the same bytes
-        as_numpy = [type(r)(r.m_orders, r.dim, *map(np.float64, r[2:])) for r in MIXED_REPORTS]
+        as_numpy = [type(r)(r.m_orders, r.dim, *map(np.float64, r[2:])) for r in reports]
         assert "".join(_grid_lines("json", [template_fields(as_numpy)], 7)) == streamed
 
     def test_text_rows_match_fstring_columns(self):
-        streamed = "".join(_grid_lines("text", [template_fields(MIXED_REPORTS)], 42))
-        assert streamed.encode() == text_reference(MIXED_REPORTS).encode()
+        reports = mixed_reports()
+        streamed = "".join(_grid_lines("text", [template_fields(reports)], 42))
+        assert streamed.encode() == text_reference(reports).encode()
 
     @pytest.mark.parametrize(
         ("dims", "orders"),
@@ -549,8 +558,11 @@ class TestSweep:
             (["sweep", "--dims", "2..16", "--orders", "1..2000", "--format", "json"], 10),
             # a table small enough to sit in the buffer until main flushes it
             (["table"], 0),
+            # the largest per-point grid, 199 995 points just below the numpy
+            # threshold: the reader takes the CSV header line and closes
+            (["sweep", "--dims", "2..16", "--orders", "1..13333"], len(CSV_HEADER) + 1),
         ],
-        ids=["json-sweep", "small-table"],
+        ids=["json-sweep", "small-table", "csv-sweep-one-line"],
     )
     def test_reader_closing_early_is_an_io_error(self, argv, taken, unbuffered):
         # One stderr line and exit 3, not a second error at exit (status 120).

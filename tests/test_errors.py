@@ -43,6 +43,10 @@ BOUNDED_CALLS = {
         lambda: check_size_guard(2, 0, 2), "number of orders must be at least 1, got 0"
     ),
     "guard-dim": (lambda: check_size_guard(2, 2, 1), "dimension must be at least 2, got 1"),
+    "guard-samples": (
+        lambda: check_size_guard(2, 1, 2, n_samples=-5),
+        f"sample count -5 outside [1, {MAX_ORACLE_SAMPLES}]",
+    ),
     "seed": (lambda: NormalSource(-1), "seed must be at least 0, got -1"),
     "size-entry": (
         lambda: NormalSource(0).standard_normal((2, -1)), "size entry must be at least 0, got -1"

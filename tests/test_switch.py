@@ -139,16 +139,46 @@ RHO2 = np.eye(2) / 2
         (lambda: depolarize(None, RHO2), "basis"),
         (lambda: random_density_matrix(2, None), "rng"),
         (lambda: haar_random_state(2, None), "rng"),
+        (lambda: apply_switch(cyclic_orders(2), weyl_basis(2), None, RHO2), "amplitudes"),
+        (lambda: apply_switch(cyclic_orders(2), weyl_basis(2), (0.6, 0.8), RHO2), "amplitudes"),
+        (lambda: det_factorization_residual(2, 2, RHO2, None), "amplitudes"),
+        (lambda: det_factorization_residual(2, 2, RHO2, (2**-0.5, 2**-0.5)), "amplitudes"),
     ],
     ids=[
         "apply-orders", "apply-basis", "oracle-orders", "oracle-basis", "kraus-orders",
-        "kraus-basis", "depolarize-basis", "density-rng", "haar-rng",
+        "kraus-basis", "depolarize-basis", "density-rng", "haar-rng", "apply-none-amplitudes",
+        "apply-tuple-amplitudes", "det-none-amplitudes", "det-tuple-amplitudes",
     ],
 )
 def test_non_record_arguments_are_domain_errors(call, name):
     # None in place of a record, or of a sampler, is named before any of
     # its attributes is read, so no bare AttributeError escapes
     with pytest.raises(DomainError, match=f"^{name} must "):
+        call()
+
+
+@pytest.mark.parametrize(
+    ("call", "dim"),
+    [
+        (
+            lambda: apply_switch(
+                cyclic_orders(2), weyl_basis(2), ControlAmplitudes.uniform(2), np.eye(3) / 3
+            ),
+            2,
+        ),
+        (lambda: depolarize(weyl_basis(3), RHO2), 3),
+        (lambda: partial_trace(np.eye(4) / 4, 2, 3, "A"), 6),
+        (
+            lambda: det_factorization_residual(2, 2, np.eye(3) / 3, ControlAmplitudes.uniform(2)),
+            2,
+        ),
+    ],
+    ids=["apply-switch", "depolarize", "partial-trace", "det-factorization"],
+)
+def test_wrong_shape_states_are_dimension_mismatches(call, dim):
+    # every function that takes a state of a known dimension checks its
+    # shape through one helper, with one error class and one message
+    with pytest.raises(DimensionMismatchError, match=f"expected \\({dim}, {dim}\\)$"):
         call()
 
 
@@ -282,15 +312,23 @@ class TestRecordSemantics:
         assert repr(ControlAmplitudes(values=[0.6, 0.8])) == "ControlAmplitudes(values=(0.6, 0.8))"
 
     @pytest.mark.parametrize(
-        "record,field",
+        "make,field",
         [
-            (cyclic_orders(2), "orders"),
-            (ControlAmplitudes(values=(1.0,)), "values"),
-            (apply_switch(cyclic_orders(2), weyl_basis(2), ControlAmplitudes.uniform(2), np.eye(2) / 2), "dim"),
+            (lambda: cyclic_orders(2), "orders"),
+            (lambda: ControlAmplitudes(values=(1.0,)), "values"),
+            (
+                lambda: apply_switch(
+                    cyclic_orders(2), weyl_basis(2), ControlAmplitudes.uniform(2), RHO2
+                ),
+                "dim",
+            ),
         ],
         ids=["order-set", "amplitudes", "output"],
     )
-    def test_fields_cannot_be_assigned_or_deleted(self, record, field):
+    def test_fields_cannot_be_assigned_or_deleted(self, make, field):
+        # the record is built inside the test, so a fault in the switch map
+        # fails this case alone, not the collection of the module
+        record = make()
         before = getattr(record, field)
         with pytest.raises(AttributeError, match="cannot assign"):
             setattr(record, field, before)
@@ -1317,10 +1355,10 @@ class TestHolevoOracle:
         check_size_guard(2, 2, 13, MAX_ORACLE_SAMPLES)
 
     def test_state_budget_message_past_the_float_range(self):
-        # the entropy pass, 25 (n + 1) M d bytes for n = 10^600 samples, is
-        # past the largest float
-        with pytest.raises(SizeGuardError, match="needs ~2\\^2000 bytes"):
-            check_size_guard(2, 2, 2, 10**600)
+        # the switch map's index and one output state, 64 (M d)^2 bytes for
+        # M = 10^600 orders, are past the largest float
+        with pytest.raises(SizeGuardError, match="needs ~2\\^3995 bytes"):
+            check_size_guard(2, 10**600, 2)
 
     @pytest.mark.parametrize(("d", "bits"), [(2, 18), (4, 18), (6, 22)])
     def test_guard_counts_the_oracle_peak(self, monkeypatch, d, bits):
