@@ -225,7 +225,11 @@ def analytic_output_state(rho: np.ndarray, m_orders: int) -> np.ndarray:
     c = ControlAmplitudes.uniform(m_orders).as_array()
     d = rho.shape[0]
     weights = np.diag(c * c)
-    return np.kron(weights, np.eye(d) / d) + np.kron(np.outer(c, c) - weights, rho / (d * d))
+    # Each term is the Kronecker product by broadcasting over (M, d, M, d),
+    # the products np.kron takes; the sum is formed in the complex term.
+    state = (np.outer(c, c) - weights)[:, None, :, None] * (rho / (d * d))[:, None, :]
+    state += weights[:, None, :, None] * (np.eye(d) / d)[:, None, :]
+    return state.reshape(m_orders * d, m_orders * d)
 
 
 def det_factorization_residual(

@@ -226,7 +226,11 @@ def _block_residual(
     m, dim = orders.m_orders, basis.dim
     produced = apply_switch(orders, basis, amplitudes, rho, switch_map=switch_map)
     predicted = analytic_output_state(rho, m)
-    return np.abs(produced.state - predicted).reshape(m, dim, m, dim).max(axis=(1, 3))
+    # The magnitudes are written block by block, so each block's maximum is
+    # a reduction over the contiguous last axis of an (M, M, d^2) view.
+    gap = np.empty((m, m, dim, dim))
+    np.abs((produced.state - predicted).reshape(m, dim, m, dim).transpose(0, 2, 1, 3), out=gap)
+    return gap.reshape(m, m, dim * dim).max(axis=2)
 
 
 def run_verify_case(orders: OrderSet, mode: str, basis: UnitaryBasis, seed: int) -> dict:

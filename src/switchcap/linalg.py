@@ -43,9 +43,12 @@ def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
 
     The input is symmetrized, ``(h + h^dagger) * 0.5``, to drop its
     sub-tolerance asymmetry, then handed to LAPACK (``numpy.linalg.eigvalsh``).
-    Beside the input it holds a working copy, one conjugate transpose and
-    the asymmetry's real magnitudes: the sum is formed in the copy, and the
-    asymmetry ``h - h^dagger`` in the transpose, as the sum less twice it.
+    Beside the input it holds a working copy, one contiguous conjugate
+    copy of its transpose and the asymmetry's real magnitudes, 2.5 copies:
+    the sum is formed in the working copy, and the asymmetry
+    ``h - h^dagger`` in the conjugate copy, as the sum less twice it.  The
+    transpose is copied once and conjugated in place, so no pass reads
+    through a transposed view and no ufunc holds an iteration buffer.
 
     Parameters
     ----------
@@ -69,7 +72,8 @@ def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NotHermitianError("matrix has NaN or infinite entries")
     trace = float(np.trace(a).real)
-    adjoint = a.conj().T
+    adjoint = a.T.copy()
+    np.conjugate(adjoint, out=adjoint)
     a += adjoint
     adjoint *= -2.0
     adjoint += a
@@ -208,6 +212,9 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
     Tolerances: hermiticity 1e-12 entrywise, trace 1e-12, smallest eigenvalue
     at least -1e-10.  An empty matrix, or a NaN or infinite entry, is rejected.
+    The asymmetry is taken in one contiguous conjugate copy of the
+    transpose, conjugated in place: no pass reads through a transposed view
+    and no ufunc holds an iteration buffer.
     """
     import numpy as np
     rho = np.asarray(rho, dtype=complex)
@@ -215,7 +222,11 @@ def validate_density_matrix(rho: np.ndarray) -> None:
         raise InvalidStateError(f"expected a nonempty square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidStateError("state has NaN or infinite entries")
-    asym = float(np.abs(rho - rho.conj().T).max())
+    adjoint = rho.T.copy()
+    np.conjugate(adjoint, out=adjoint)
+    np.subtract(rho, adjoint, out=adjoint)
+    asym = float(np.abs(adjoint).max())
+    del adjoint
     if asym > DENSITY_HERMITICITY_TOL:
         raise InvalidStateError(f"not Hermitian: asymmetry {asym:.3e}")
     tr = complex(np.trace(rho))

@@ -293,13 +293,17 @@ def check_size_guard(
       bytes of generator state and array headers, and in turn: the draws
       of ``_haar_states`` with the norm's temporaries, 48 d n bytes; the
       n pure vectors, 16 d n bytes, beside the spectra, S = 8 (n + 1) M d
-      bytes, one output state and ``hermitian_spectrum``'s copies,
-      56 (M d)^2; and S beside the entropy pass's two (n + 1, M d) float
-      arrays and its mask, 25 (n + 1) M d in all.
+      bytes, one output state scaled by one scalar weight and
+      ``hermitian_spectrum``'s working copy, contiguous conjugate copy and
+      real magnitudes, 56 (M d)^2 at every size, as no pass reads through
+      a transposed view or holds a ufunc buffer; and S beside the entropy
+      pass's two (n + 1, M d) float arrays and its mask, 25 (n + 1) M d in
+      all.
 
     ``verify``'s block check (``cli._block_residual``) holds about
-    61 (M d)^2 bytes beside K and is not counted: M <= N! keeps it below
-    the family's term on every case the budget admits.
+    58 (M d)^2 bytes beside K at M d = 240, and up to 73 at M d = 48, and
+    is not counted: M <= N! keeps it below the family's term on every case
+    the budget admits.
 
     The domain is integers with N >= 2, M >= 1, d >= 2 and a sample count
     in [1, MAX_ORACLE_SAMPLES], the bound ``holevo_oracle`` sets: a value
@@ -492,12 +496,17 @@ def _contract(twirl: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return state.reshape(len(perms), d, -1, d, d, d).sum(axis=2)
 
 
-def _output_state(switch_map: SwitchMap, weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _output_state(
+    switch_map: SwitchMap, weights: float | np.ndarray, rho: np.ndarray
+) -> np.ndarray:
     """Joint output for one target state, shape (M*d, M*d).
 
-    ``weights`` is the (M, 1, M, 1) array of amplitude products c_i c_j.
+    ``weights`` is the (M, 1, M, 1) array of amplitude products c_i c_j,
+    or one scalar when every product is the same, as for uniform
+    amplitudes: a scalar scales the state with no broadcast buffer.  M is
+    read from the map.
     """
-    m, d = len(weights), len(rho)
+    m, d = len(switch_map.index), len(rho)
     raw = (switch_map.blocks @ rho.ravel()).take(switch_map.index)
     raw *= weights
     return raw.reshape(m * d, m * d)
@@ -642,8 +651,10 @@ def holevo_oracle(
     that ``check_size_guard`` refuses SizeGuardError, before any state is
     drawn or any map taken.  ``switch_map`` is as for ``apply_switch``.
     The Haar vectors come from one ``_haar_states`` batch, the draws that
-    successive ``haar_random_state`` calls make.  Each input's projector is
-    built as its output state is taken, one at a time, mixed input first,
+    successive ``haar_random_state`` calls make.  The amplitudes are
+    uniform, so every product c_i c_j is the one float ``c[0] * c[0]``,
+    and each output state is scaled by that scalar.  Each input's projector
+    is built as its output state is taken, one at a time, mixed input first,
     and each spectrum is written into its row of one stack, from which a
     single ``von_neumann_entropy`` call takes every entropy.
     """
@@ -654,13 +665,13 @@ def holevo_oracle(
     check_size_guard(orders.n_channels, orders.m_orders, d, n_samples)
     switch_map = _map_for(orders, basis, switch_map)
     c = ControlAmplitudes.uniform(orders.m_orders).as_array()
-    weights = np.outer(c, c)[:, None, :, None]
+    weight = c[0] * c[0]
 
     pure = np.concatenate([np.eye(d, dtype=complex), _haar_states(max(0, n_samples - d), d, rng)])
     inputs = itertools.chain([np.eye(d, dtype=complex) / d], (v[:, None] * v.conj() for v in pure))
     spectra = np.empty((len(pure) + 1, orders.m_orders * d))
     for s, rho in enumerate(inputs):
-        spectra[s] = hermitian_spectrum(_output_state(switch_map, weights, rho))
+        spectra[s] = hermitian_spectrum(_output_state(switch_map, weight, rho))
     # The entropy pass holds the spectra alone, as check_size_guard counts it.
     del pure
     entropies = von_neumann_entropy(spectra)

@@ -411,6 +411,15 @@ class TestAnalyticOutputState:
         predicted = analytic_output_state(rho, 3)
         assert np.abs(produced.state - predicted).max() < 1e-12
 
+    @pytest.mark.parametrize("m", [1, 2, 24])
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_is_the_kronecker_expression_bit_for_bit(self, m, d):
+        rho = random_density_matrix(d, np.random.default_rng(m * d))
+        c = ControlAmplitudes.uniform(m).as_array()
+        weights = np.diag(c * c)
+        expected = np.kron(weights, np.eye(d) / d) + np.kron(np.outer(c, c) - weights, rho / (d * d))
+        assert np.array_equal(analytic_output_state(rho, m), expected)
+
     def test_checks_the_point_like_every_closed_form(self):
         with pytest.raises(DomainError, match="dimension 65 outside"):
             analytic_output_state(np.eye(65) / 65, 2)

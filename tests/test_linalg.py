@@ -100,14 +100,15 @@ class TestHermitianSpectrum:
             shifted = hermitian_spectrum(h + c * np.eye(7))
             assert np.abs(shifted - (hermitian_spectrum(h) + c)).max() < 1e-10
 
-    @pytest.mark.parametrize("n", [2, 5, 48])
+    @pytest.mark.parametrize("n", [2, 5, 12, 48, 240])
     def test_symmetrizes_like_the_half_sum(self, n):
-        # a sub-tolerance asymmetry is dropped as (h + h^dagger) / 2 drops it
+        # a sub-tolerance asymmetry is dropped as (h + h^dagger) * 0.5 drops
+        # it: the same floating-point operations, so the same bits
         a = random_complex((n, n), seed=n)
         h = (a + a.conj().T) / 2 + 1e-12 * random_complex((n, n), seed=n + 1)
         before = h.copy()
-        expected = np.linalg.eigvalsh((h + h.conj().T) / 2.0)[::-1]
-        assert np.abs(hermitian_spectrum(h) - expected).max() < 1e-15
+        expected = np.linalg.eigvalsh((h + h.conj().T) * 0.5)[::-1]
+        assert np.array_equal(hermitian_spectrum(h), expected)
         assert np.array_equal(h, before)
 
     def test_reports_the_asymmetry(self):
@@ -122,18 +123,23 @@ class TestHermitianSpectrum:
             hermitian_spectrum(big)
 
     def test_memory_holds_two_copies_and_a_real_array(self):
-        # beside its input: the working copy, one conjugate transpose and the
-        # asymmetry's magnitudes, 2.5 copies where the half sum took 3
-        h = random_complex((300, 300), seed=9)
-        h = (h + h.conj().T) / 2
-        hermitian_spectrum(h)
-        tracemalloc.start()
-        try:
+        # beside its input: the working copy, one contiguous conjugate copy
+        # and the asymmetry's magnitudes, 2.5 copies where the half sum took
+        # 3.  48 and 72 sit below NumPy's temporary elision, where a pass
+        # through a transposed view held ~4 copies.
+        peaks = {}
+        for n in (48, 72, 300):
+            h = random_complex((n, n), seed=9)
+            h = (h + h.conj().T) / 2
             hermitian_spectrum(h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.6 * h.nbytes
+            tracemalloc.start()
+            try:
+                hermitian_spectrum(h)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[n] = peak / h.nbytes
+        assert max(peaks.values()) < 2.6, peaks
 
     def test_rejects_non_square(self):
         with pytest.raises(NotHermitianError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from switchcap import switch
-from switchcap.capacity import det_factorization_residual
+from switchcap.capacity import analytic_output_state, det_factorization_residual
 from switchcap.cli import _block_residual
 from switchcap.channels import UnitaryBasis, check_completeness, depolarize, weyl_basis
 from switchcap.errors import (
@@ -678,6 +678,29 @@ class TestBuildSwitchKraus:
 
 
 class TestApplySwitch:
+    @pytest.mark.parametrize(
+        ("orders", "d"), [(all_orders(4), 2), (cyclic_orders(4), 3)], ids=["all4-d2", "cyclic4-d3"]
+    )
+    def test_uniform_scalar_weight_is_the_product_array(self, orders, d):
+        # every entry of the outer product is c[0] * c[0], so scaling by that
+        # scalar gives the array's output state bit for bit
+        held = _switch_map(orders, weyl_basis(d))
+        c = ControlAmplitudes.uniform(orders.m_orders).as_array()
+        rho = random_density_matrix(d, np.random.default_rng(d))
+        expected = switch._output_state(held, np.outer(c, c)[:, None, :, None], rho)
+        assert np.array_equal(switch._output_state(held, c[0] * c[0], rho), expected)
+
+    def test_block_residual_takes_each_block_maximum(self):
+        orders, basis = all_orders(3), weyl_basis(3)
+        held = _switch_map(orders, basis)
+        amplitudes = ControlAmplitudes.uniform(orders.m_orders)
+        rho = random_density_matrix(3, np.random.default_rng(11))
+        produced = apply_switch(orders, basis, amplitudes, rho, switch_map=held)
+        gap = np.abs(produced.state - analytic_output_state(rho, orders.m_orders))
+        expected = gap.reshape(6, 3, 6, 3).max(axis=(1, 3))
+        got = _block_residual(orders, basis, amplitudes, rho, switch_map=held)
+        assert np.array_equal(got, expected)
+
     def test_two_channel_qubit_blocks(self):
         basis = weyl_basis(2)
         rho = np.diag([1.0, 0.0]).astype(complex)
@@ -1274,6 +1297,29 @@ class TestHolevoOracle:
         md = orders.m_orders * d
         term = 16 * 120 * d**4 + 8 * md**2 + 2**14 + 16 * 64 * d + 8 * 65 * md + 56 * md**2
         assert 0.95 * term <= peak <= 1.05 * term
+
+    @pytest.mark.parametrize(
+        ("orders", "d"),
+        [(all_orders(4), 2), (all_orders(4), 3), (cyclic_orders(2), 12)],
+        ids=["all4-d2", "all4-d3", "cyclic2-d12"],
+    )
+    def test_memory_beside_a_held_map_is_within_the_oracle_stages(self, orders, d):
+        # With the map built beforehand, the call's peak is at most 2^14 bytes
+        # of small objects and the largest of the guard's oracle stages: an
+        # output state scaled by one scalar and hermitian_spectrum's
+        # contiguous copies fit the 56 (M d)^2 that the guard counts for them.
+        basis, n = weyl_basis(d), 64
+        held = _switch_map(orders, basis)
+        holevo_oracle(orders, basis, n_samples=d, switch_map=held)
+        tracemalloc.start()
+        try:
+            holevo_oracle(orders, basis, n_samples=n, switch_map=held)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        md = orders.m_orders * d
+        stages = (48 * d * n, 16 * d * n + 8 * (n + 1) * md + 56 * md**2, 25 * (n + 1) * md)
+        assert peak <= 2**14 + max(stages)
 
     def test_single_order_transmits_nothing(self):
         orders = OrderSet(orders=((0, 1),))
